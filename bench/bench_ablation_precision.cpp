@@ -68,8 +68,8 @@ PolicyResult run(kern::GrantPolicy policy, std::uint64_t seed) {
   // --- transparency probe -------------------------------------------------------
   const auto user_driven_mic_use = [&](bool registers_gadget) {
     static int n = 0;
-    auto app = sys.launch_gui_app("/usr/bin/a" + std::to_string(n),
-                                  "a" + std::to_string(n),
+    const std::string id = std::to_string(n);
+    auto app = sys.launch_gui_app("/usr/bin/a" + id, "a" + id,
                                   x11::Rect{0, 400, 200, 150})
                    .value();
     ++n;

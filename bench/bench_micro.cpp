@@ -215,12 +215,11 @@ BENCHMARK(BM_IcccmPaste)->Arg(0)->Arg(1);
 
 void BM_WireEventRoundTrip(benchmark::State& state) {
   x11::AtomRegistry atoms;
-  x11::XEvent ev;
-  ev.type = x11::EventType::kSelectionRequest;
-  ev.selection = "CLIPBOARD";
-  ev.property = "P";
-  ev.target = "STRING";
-  ev.window = 7;
+  const x11::XEvent ev{.type = x11::EventType::kSelectionRequest,
+                       .window = 7,
+                       .selection = "CLIPBOARD",
+                       .property = "P",
+                       .target = "STRING"};
   for (auto _ : state) {
     const auto rec = x11::wire::encode_event(ev, atoms);
     benchmark::DoNotOptimize(x11::wire::decode_event(rec, atoms));

@@ -32,7 +32,7 @@ Status DBusConnection::call(const std::string& destination,
   msg.destination = destination;
   msg.member = member;
   msg.payload = payload;
-  msg.sender = ":" + std::to_string(id_);
+  msg.sender.assign(1, ':').append(std::to_string(id_));
   // A real socket send: the caller's interaction timestamp is embedded in
   // the channel by the kernel hook.
   return endpoint_.send(*task, DBusDaemon::encode(msg));

@@ -22,8 +22,9 @@ std::array<std::uint32_t, 256> make_crc_table() {
 
 void put_bytes(std::vector<std::uint8_t>* out, const void* src,
                std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  out->insert(out->end(), p, p + n);
+  const std::size_t at = out->size();
+  out->resize(at + n);
+  if (n != 0) std::memcpy(out->data() + at, src, n);
 }
 
 bool take_bytes(const std::uint8_t*& cur, const std::uint8_t* end, void* dst,

@@ -22,6 +22,7 @@
 //   alert_overlay        overlay window       layer-shell overlay surface
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -72,6 +73,12 @@ class DisplayBackend {
 
   // --- trusted output --------------------------------------------------------
   virtual display::AlertOverlay& alert_overlay() noexcept = 0;
+
+  // --- accounting --------------------------------------------------------------
+  // Bytes of pixel storage held across every window or surface. Buffers
+  // stay solid until a client draws (display::PixelBuffer), so this is 0
+  // until something does.
+  [[nodiscard]] virtual std::size_t pixel_bytes() const noexcept = 0;
 };
 
 // HardwareInputDriver: the device-driver side of the trusted input path.

@@ -33,25 +33,34 @@ const Alert& AlertOverlay::show(int pid, const std::string& comm, util::Op op,
   alert.decision = decision;
   alert.text = render_text(comm, op, decision);
   alert.secret = secret_;
-  history_.push_back(std::move(alert));
-  return history_.back();
+  const std::size_t slot = shown_++ % kHistoryCapacity;
+  if (slot == ring_.size()) {
+    ring_.push_back(std::move(alert));
+  } else {
+    ring_[slot] = std::move(alert);
+  }
+  return ring_[slot];
 }
 
 std::string AlertOverlay::render_banner(const Alert& alert) {
   // [ <secret> | <message>                          ]
-  const std::string secret =
-      alert.secret.empty() ? "(no secret!)" : alert.secret;
-  const std::string body = " " + secret + " | " + alert.text + " ";
+  const std::string_view secret =
+      alert.secret.empty() ? "(no secret!)" : std::string_view(alert.secret);
+  std::string body;
+  body.reserve(secret.size() + alert.text.size() + 5);
+  body.append(1, ' ').append(secret).append(" | ").append(alert.text);
+  body.append(1, ' ');
   std::string out;
-  out += "+" + std::string(body.size(), '-') + "+\n";
-  out += "|" + body + "|\n";
-  out += "+" + std::string(body.size(), '-') + "+\n";
+  out.reserve(3 * (body.size() + 3));
+  out.append(1, '+').append(body.size(), '-').append("+\n");
+  out.append(1, '|').append(body).append("|\n");
+  out.append(1, '+').append(body.size(), '-').append("+\n");
   return out;
 }
 
 std::vector<const Alert*> AlertOverlay::active(sim::Timestamp now) const {
   std::vector<const Alert*> out;
-  for (const auto& alert : history_) {
+  for (const Alert& alert : history()) {
     if (alert.active_at(now)) out.push_back(&alert);
   }
   return out;

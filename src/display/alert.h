@@ -14,7 +14,9 @@
 // what keeps the trusted-output behaviour bit-identical across backends.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -62,29 +64,41 @@ class AlertOverlay {
 
   // Whether an alert a user sees is authentic: true iff it was rendered by
   // this overlay with the configured secret. A client-forged "alert" is a
-  // regular window and never enters history_.
+  // regular window and never enters the history.
   [[nodiscard]] bool is_authentic(const Alert& alert) const noexcept {
     return !secret_.empty() && alert.secret == secret_;
   }
 
-  [[nodiscard]] const std::vector<Alert>& history() const noexcept {
-    return history_;
+  // The overlay keeps the last kHistoryCapacity alerts it showed and
+  // overwrites the oldest in place: a fleet seat can raise ~1000 alerts a
+  // second, and an on-screen overlay never shows more than a few at once.
+  static constexpr std::size_t kHistoryCapacity = 64;
+
+  // The alerts still held, oldest first.
+  [[nodiscard]] auto history() const {
+    return std::views::iota(std::size_t{0}, ring_.size()) |
+           std::views::transform([this](std::size_t i) -> const Alert& {
+             return ring_[(shown_ + i) % ring_.size()];
+           });
   }
 
   // Render an alert the way it appears at the top of the screen (Fig. 5):
   // a banner with the visual shared secret on the left — the cat photo in
   // the paper's screenshots — and the message beside it.
   [[nodiscard]] static std::string render_banner(const Alert& alert);
-  [[nodiscard]] std::size_t shown_count() const noexcept {
-    return history_.size();
+  // Alerts shown since the last clear_history(), including overwritten ones.
+  [[nodiscard]] std::size_t shown_count() const noexcept { return shown_; }
+  void clear_history() noexcept {
+    ring_.clear();
+    shown_ = 0;
   }
-  void clear_history() { history_.clear(); }
 
  private:
   sim::Clock& clock_;
   std::string secret_;
   sim::Duration duration_ = sim::Duration::seconds(4);  // "a few seconds"
-  std::vector<Alert> history_;
+  std::vector<Alert> ring_;  // grows to kHistoryCapacity, then wraps
+  std::size_t shown_ = 0;
 };
 
 }  // namespace overhaul::display

@@ -15,6 +15,7 @@ Shard::Shard(ShardId id, sim::Duration epoch, core::OverhaulConfig config)
   g_task_slots_ = metrics.gauge("seat.task_slots");
   g_audit_ring_bytes_ = metrics.gauge("seat.audit_ring_bytes");
   g_netlink_pending_ = metrics.gauge("seat.netlink_pending");
+  g_pixel_bytes_ = metrics.gauge("seat.pixel_bytes");
   account();
 }
 
@@ -53,13 +54,16 @@ void Shard::account() {
       static_cast<std::int64_t>(k.audit().memory_bytes()));
   g_netlink_pending_->record(
       static_cast<std::int64_t>(k.netlink().pending_coalesced()));
+  g_pixel_bytes_->record(
+      static_cast<std::int64_t>(system_.display().pixel_bytes()));
 }
 
 std::size_t Shard::rss_proxy_bytes() {
   kern::Kernel& k = system_.kernel();
   // Binary ring accounting: 64-byte records + intern payload, not the text
   // log's record-struct-plus-two-heap-strings footprint (DESIGN.md §16).
-  return k.processes().slab_bytes() + k.audit().memory_bytes();
+  return k.processes().slab_bytes() + k.audit().memory_bytes() +
+         system_.display().pixel_bytes();
 }
 
 }  // namespace overhaul::fleet

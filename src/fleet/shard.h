@@ -6,8 +6,8 @@
 // shard's *epoch* (the fleet-clock instant it booted; its local clock starts
 // at zero there), the set of GUI sessions launched on the seat, and the
 // per-seat resource gauges (`seat.task_slots`, `seat.audit_ring_bytes`,
-// `seat.netlink_pending`) that account() refreshes into the shard's own
-// metrics registry under its `fleet.shard<N>.` prefix.
+// `seat.netlink_pending`, `seat.pixel_bytes`) that account() refreshes into
+// the shard's own metrics registry under its `fleet.shard<N>.` prefix.
 //
 // Clock discipline: a shard's local clock only ever advances via
 // step_to(fleet_now), which keeps the invariant
@@ -89,7 +89,8 @@ class Shard {
   void account();
 
   // Bytes of the shard's dominant growable allocations: the process-table
-  // slab plus the audit ring. The fleet RSS proxy sums this across shards.
+  // slab, the audit ring and the display's pixel storage. The fleet RSS
+  // proxy sums this across shards.
   [[nodiscard]] std::size_t rss_proxy_bytes();
 
  private:
@@ -104,6 +105,7 @@ class Shard {
   OVERHAUL_SHARD_LOCAL obs::Gauge* g_task_slots_ = nullptr;
   OVERHAUL_SHARD_LOCAL obs::Gauge* g_audit_ring_bytes_ = nullptr;
   OVERHAUL_SHARD_LOCAL obs::Gauge* g_netlink_pending_ = nullptr;
+  OVERHAUL_SHARD_LOCAL obs::Gauge* g_pixel_bytes_ = nullptr;
 };
 
 }  // namespace overhaul::fleet

@@ -31,7 +31,13 @@ std::string escape(std::string_view raw) {
   return out;
 }
 
-std::string quote(std::string_view raw) { return "\"" + escape(raw) + "\""; }
+std::string quote(std::string_view raw) {
+  const std::string body = escape(raw);
+  std::string out;
+  out.reserve(body.size() + 2);
+  out.append(1, '"').append(body).append(1, '"');
+  return out;
+}
 
 namespace {
 

@@ -1,5 +1,7 @@
 #include "wl/compositor.h"
 
+#include <utility>
+
 namespace overhaul::wl {
 
 using kern::Pid;
@@ -85,6 +87,13 @@ WlConnection* WlCompositor::connection_of_pid(Pid pid) {
     if (c->pid() == pid) return c.get();
   }
   return nullptr;
+}
+
+std::size_t WlCompositor::pixel_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [id, surf] : surfaces_)
+    total += std::as_const(*surf).pixels().bytes();
+  return total;
 }
 
 // --- surface lifecycle --------------------------------------------------------

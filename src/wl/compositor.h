@@ -137,6 +137,7 @@ class WlCompositor final : public core::DisplayBackend {
     return s->rect();
   }
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
+  [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
 
   // --- sub-managers ---------------------------------------------------------
   [[nodiscard]] WlSeat& seat() noexcept { return seat_; }

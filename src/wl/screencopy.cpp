@@ -1,8 +1,7 @@
 #include "wl/screencopy.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "wl/compositor.h"
 
@@ -45,35 +44,16 @@ Status WlScreencopyManager::authorize_capture(WlClientId client,
 }
 
 display::Image WlScreencopyManager::composite_output() const {
-  WlCompositor& comp = comp_;
-  display::Image img;
-  img.width = comp.config().screen_width;
-  img.height = comp.config().screen_height;
-  img.pixels.assign(
-      static_cast<std::size_t>(img.width) * static_cast<std::size_t>(img.height),
-      0);  // bare output background
-  // Paint mapped surfaces bottom → top, clipped to the output.
-  for (SurfaceId sid : comp.stacking_order()) {
-    const WlSurface* surf = comp.surface(sid);
+  std::vector<display::Layer> layers;
+  for (SurfaceId sid : comp_.stacking_order()) {
+    const WlSurface* surf = comp_.surface(sid);
     if (surf == nullptr || !surf->mapped() || surf->input_only()) continue;
-    const display::Rect& r = surf->rect();
-    for (int y = std::max(0, r.y); y < std::min(img.height, r.y + r.height);
-         ++y) {
-      const int x0 = std::max(0, r.x);
-      const int x1 = std::min(img.width, r.x + r.width);
-      if (x1 <= x0) continue;
-      const auto* src = surf->pixels().data() +
-                        static_cast<std::size_t>(y - r.y) *
-                            static_cast<std::size_t>(r.width) +
-                        static_cast<std::size_t>(x0 - r.x);
-      auto* dst = img.pixels.data() +
-                  static_cast<std::size_t>(y) *
-                      static_cast<std::size_t>(img.width) +
-                  static_cast<std::size_t>(x0);
-      std::memcpy(dst, src, static_cast<std::size_t>(x1 - x0) * 4);
-    }
+    layers.push_back({surf->rect().x, surf->rect().y, &surf->pixels()});
   }
-  return img;
+  // The output has no background surface: bare zero under the stack.
+  const display::PixelBuffer bare(comp_.config().screen_width,
+                                  comp_.config().screen_height);
+  return display::composite(bare, layers);
 }
 
 Result<display::Image> WlScreencopyManager::capture_output(WlClientId client) {
@@ -98,12 +78,8 @@ Result<display::Image> WlScreencopyManager::capture_surface(
   }
   if (auto s = authorize_capture(client, surface_id); !s.is_ok()) return s;
 
-  WlSurface* surf = comp_.surface(surface_id);
-  display::Image img;
-  img.width = surf->rect().width;
-  img.height = surf->rect().height;
-  img.pixels = surf->pixels();  // real copy — the baseline cost of a capture
-  return img;
+  const WlSurface* surf = comp_.surface(surface_id);
+  return surf->pixels().to_image();
 }
 
 }  // namespace overhaul::wl

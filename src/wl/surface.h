@@ -15,8 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
+#include "display/pixel_buffer.h"
 #include "display/types.h"
 #include "sim/clock.h"
 
@@ -33,9 +34,7 @@ class WlSurface {
  public:
   WlSurface(SurfaceId id, WlClientId owner, display::Rect rect)
       : id_(id), owner_(owner), rect_(rect),
-        pixels_(static_cast<std::size_t>(rect.width) *
-                    static_cast<std::size_t>(rect.height),
-                0u) {}
+        pixels_(rect.width, rect.height) {}
 
   [[nodiscard]] SurfaceId id() const noexcept { return id_; }
   [[nodiscard]] WlClientId owner() const noexcept { return owner_; }
@@ -48,14 +47,12 @@ class WlSurface {
     rect_.x = x;
     rect_.y = y;
   }
-  // Resizing reallocates the buffer (a fresh wl_buffer attach) and also
+  // Resizing resets the contents (a fresh wl_buffer attach) and also
   // restarts the clock when mapped.
-  void resize(int width, int height, sim::Timestamp now) {
+  void resize(int width, int height, sim::Timestamp now) noexcept {
     rect_.width = width;
     rect_.height = height;
-    pixels_.assign(static_cast<std::size_t>(width) *
-                       static_cast<std::size_t>(height),
-                   0u);
+    pixels_.resize(width, height);
     if (mapped_) mapped_at_ = now;
   }
 
@@ -79,13 +76,13 @@ class WlSurface {
   void set_input_only(bool on) noexcept { input_only_ = on; }
 
   // --- pixel contents -------------------------------------------------------
-  [[nodiscard]] std::vector<std::uint32_t>& pixels() noexcept { return pixels_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& pixels() const noexcept {
+  // Same contract as x11::Window: reads never allocate, the mutable overload
+  // materialises (display::PixelBuffer).
+  [[nodiscard]] const display::PixelBuffer& pixels() const noexcept {
     return pixels_;
   }
-  void fill(std::uint32_t argb) {
-    std::fill(pixels_.begin(), pixels_.end(), argb);
-  }
+  [[nodiscard]] std::span<std::uint32_t> pixels() { return pixels_.pixels(); }
+  void fill(std::uint32_t argb) noexcept { pixels_.fill(argb); }
 
  private:
   SurfaceId id_;
@@ -94,7 +91,7 @@ class WlSurface {
   bool mapped_ = false;
   bool input_only_ = false;
   sim::Timestamp mapped_at_ = sim::Timestamp::never();
-  std::vector<std::uint32_t> pixels_;  // ARGB32
+  display::PixelBuffer pixels_;
 };
 
 }  // namespace overhaul::wl

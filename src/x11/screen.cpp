@@ -1,7 +1,7 @@
 #include "x11/screen.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "x11/server.h"
 
@@ -35,34 +35,24 @@ Status ScreenResources::authorize_capture(ClientId client, WindowId window_id) {
 }
 
 Image ScreenResources::composite_screen() const {
-  const Window* root =
-      const_cast<XServer&>(server_).window(kRootWindow);
-  Image img;
-  img.width = root->rect().width;
-  img.height = root->rect().height;
-  img.pixels = root->pixels();  // background first
-  // Paint mapped windows bottom → top, clipped to the screen.
+  // The root window's buffer is the background; mapped windows paint over
+  // it bottom → top.
+  std::vector<display::Layer> layers;
   for (WindowId wid : server_.stacking_order()) {
-    if (wid == kRootWindow) continue;
-    const Window* win = const_cast<XServer&>(server_).window(wid);
-    if (win == nullptr || !win->mapped() || win->transparent()) continue;
-    const Rect& r = win->rect();
-    for (int y = std::max(0, r.y);
-         y < std::min(img.height, r.y + r.height); ++y) {
-      const int x0 = std::max(0, r.x);
-      const int x1 = std::min(img.width, r.x + r.width);
-      if (x1 <= x0) continue;
-      const auto* src =
-          win->pixels().data() +
-          static_cast<std::size_t>(y - r.y) * static_cast<std::size_t>(r.width) +
-          static_cast<std::size_t>(x0 - r.x);
-      auto* dst = img.pixels.data() +
-                  static_cast<std::size_t>(y) * static_cast<std::size_t>(img.width) +
-                  static_cast<std::size_t>(x0);
-      std::memcpy(dst, src, static_cast<std::size_t>(x1 - x0) * 4);
-    }
+    const Window* win = server_.window(wid);
+    if (wid == kRootWindow || win == nullptr || !win->mapped() ||
+        win->transparent())
+      continue;
+    layers.push_back({win->rect().x, win->rect().y, &win->pixels()});
   }
-  return img;
+  const Window* root = server_.window(kRootWindow);
+  return display::composite(root->pixels(), layers);
+}
+
+Image ScreenResources::capture(WindowId window_id) const {
+  if (window_id == kRootWindow) return composite_screen();
+  const Window* win = server_.window(window_id);
+  return win->pixels().to_image();
 }
 
 Result<Image> ScreenResources::get_image(ClientId client, WindowId window_id) {
@@ -74,15 +64,7 @@ Result<Image> ScreenResources::get_image(ClientId client, WindowId window_id) {
     span.arg("window", std::to_string(window_id));
   }
   if (auto s = authorize_capture(client, window_id); !s.is_ok()) return s;
-
-  if (window_id == kRootWindow) return composite_screen();
-
-  Window* win = server_.window(window_id);
-  Image img;
-  img.width = win->rect().width;
-  img.height = win->rect().height;
-  img.pixels = win->pixels();  // real copy — the baseline cost of GetImage
-  return img;
+  return capture(window_id);
 }
 
 Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
@@ -97,18 +79,12 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
   }
   if (auto s = authorize_capture(client, window_id); !s.is_ok()) return s;
 
-  std::vector<std::uint32_t> composed;
-  const std::vector<std::uint32_t>* pixels_ptr = nullptr;
-  if (window_id == kRootWindow) {
-    composed = composite_screen().pixels;
-    pixels_ptr = &composed;
-  } else {
-    pixels_ptr = &server_.window(window_id)->pixels();
-  }
-  const auto& pixels = *pixels_ptr;
-  const std::size_t bytes = pixels.size() * sizeof(std::uint32_t);
+  // The root window spans the screen, so its size is the composite's.
+  const Window* win = server_.window(window_id);
+  const std::size_t bytes = win->pixels().size() * sizeof(std::uint32_t);
   if (bytes > dst.segment()->size())
     return Status(Code::kInvalidArgument, "shm segment too small for image");
+  const Image img = capture(window_id);
 
   // Write through the X server's own task so the kernel page-fault
   // interposition sees the transfer like any other shared-memory IPC.
@@ -116,7 +92,8 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
       server_.kernel().processes().lookup_live(server_.pid());
   if (server_task == nullptr)
     return Status(Code::kNotFound, "X server task missing");
-  if (auto s = dst.write(*server_task, 0, pixels.data(), bytes); !s.is_ok())
+  if (auto s = dst.write(*server_task, 0, img.pixels.data(), bytes);
+      !s.is_ok())
     return s;
   return bytes;
 }
@@ -138,9 +115,11 @@ Status ScreenResources::copy_area(ClientId client, WindowId src_id,
     return s;
   }
 
-  const std::size_t n = std::min(src->pixels().size(), dst->pixels().size());
-  std::memcpy(dst->pixels().data(), src->pixels().data(),
-              n * sizeof(std::uint32_t));
+  if (src != dst) {
+    const display::PixelBuffer& from = std::as_const(*src).pixels();
+    const std::span<std::uint32_t> to = dst->pixels();
+    from.read(0, std::min(from.size(), to.size()), to.data());
+  }
   return Status::ok();
 }
 
@@ -162,11 +141,12 @@ Status ScreenResources::copy_plane(ClientId client, WindowId src_id,
   }
 
   const std::uint32_t mask = 1u << plane;
-  const std::size_t n = std::min(src->pixels().size(), dst->pixels().size());
-  for (std::size_t i = 0; i < n; ++i) {
-    dst->pixels()[i] =
-        (dst->pixels()[i] & ~mask) | (src->pixels()[i] & mask);
-  }
+  const display::PixelBuffer& from = std::as_const(*src).pixels();
+  const std::span<std::uint32_t> to = dst->pixels();
+  std::vector<std::uint32_t> bits(std::min(from.size(), to.size()));
+  from.read(0, bits.size(), bits.data());
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    to[i] = (to[i] & ~mask) | (bits[i] & mask);
   return Status::ok();
 }
 

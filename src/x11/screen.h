@@ -63,6 +63,9 @@ class ScreenResources {
  private:
   // Shared mediation: does `client` get pixel access to `window`?
   util::Status authorize_capture(ClientId client, WindowId window);
+  // The pixels a granted capture of `window` returns: the composited screen
+  // for the root window, the window's own contents otherwise.
+  [[nodiscard]] Image capture(WindowId window) const;
 
   XServer& server_;
   Stats stats_;

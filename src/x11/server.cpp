@@ -1,5 +1,7 @@
 #include "x11/server.h"
 
+#include <utility>
+
 namespace overhaul::x11 {
 
 using kern::Pid;
@@ -91,6 +93,13 @@ XClient* XServer::client_of_pid(Pid pid) {
     if (c->pid() == pid) return c.get();
   }
   return nullptr;
+}
+
+std::size_t XServer::pixel_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [id, win] : windows_)
+    total += std::as_const(*win).pixels().bytes();
+  return total;
 }
 
 // --- window management ----------------------------------------------------------

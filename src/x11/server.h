@@ -174,6 +174,7 @@ class XServer final : public core::DisplayBackend {
     return win->rect();
   }
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
+  [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
 
   // --- sub-managers -------------------------------------------------------------------
   [[nodiscard]] SelectionManager& selections() noexcept { return selections_; }

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <span>
 
+#include "display/pixel_buffer.h"
 #include "display/types.h"
 #include "sim/clock.h"
 
@@ -30,9 +30,7 @@ class Window {
  public:
   Window(WindowId id, ClientId owner, Rect rect)
       : id_(id), owner_(owner), rect_(rect),
-        pixels_(static_cast<std::size_t>(rect.width) *
-                    static_cast<std::size_t>(rect.height),
-                0u) {}
+        pixels_(rect.width, rect.height) {}
 
   [[nodiscard]] WindowId id() const noexcept { return id_; }
   [[nodiscard]] ClientId owner() const noexcept { return owner_; }
@@ -48,14 +46,12 @@ class Window {
     rect_.x = x;
     rect_.y = y;
   }
-  // Resizing reallocates the pixel buffer (contents reset, like a fresh
-  // backing store) and also restarts the clock when mapped.
-  void resize(int width, int height, sim::Timestamp now) {
+  // Resizing resets the pixel contents (like a fresh backing store) and
+  // also restarts the clock when mapped.
+  void resize(int width, int height, sim::Timestamp now) noexcept {
     rect_.width = width;
     rect_.height = height;
-    pixels_.assign(static_cast<std::size_t>(width) *
-                       static_cast<std::size_t>(height),
-                   0u);
+    pixels_.resize(width, height);
     if (mapped_) mapped_at_ = now;
   }
 
@@ -81,13 +77,13 @@ class Window {
   void set_transparent(bool t) noexcept { transparent_ = t; }
 
   // --- pixel contents ---------------------------------------------------------
-  [[nodiscard]] std::vector<std::uint32_t>& pixels() noexcept { return pixels_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& pixels() const noexcept {
+  // Read access never allocates; the mutable overload is for a client that
+  // draws and materialises the buffer (display::PixelBuffer).
+  [[nodiscard]] const display::PixelBuffer& pixels() const noexcept {
     return pixels_;
   }
-  void fill(std::uint32_t argb) {
-    std::fill(pixels_.begin(), pixels_.end(), argb);
-  }
+  [[nodiscard]] std::span<std::uint32_t> pixels() { return pixels_.pixels(); }
+  void fill(std::uint32_t argb) noexcept { pixels_.fill(argb); }
 
  private:
   WindowId id_;
@@ -96,7 +92,7 @@ class Window {
   bool mapped_ = false;
   bool transparent_ = false;
   sim::Timestamp mapped_at_ = sim::Timestamp::never();
-  std::vector<std::uint32_t> pixels_;  // ARGB32
+  display::PixelBuffer pixels_;
 };
 
 }  // namespace overhaul::x11

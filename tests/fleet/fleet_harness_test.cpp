@@ -367,6 +367,37 @@ TEST(FleetMetrics, SeatGaugesTrackShardResources) {
   EXPECT_GT(f.rss_proxy_bytes(), 0u);
 }
 
+// Window pixels stay one solid colour until a client draws, so a booted seat
+// holds no pixel storage; one drawn window adds exactly width × height × 4
+// bytes to the seat gauge and to the RSS proxy.
+TEST(FleetMetrics, SeatPixelBytesCountOnlyDrawnWindows) {
+  for (const BackendMix mix : {BackendMix::kX11, BackendMix::kWayland}) {
+    FleetHarness f(small_fleet(1, mix));
+    f.boot_fleet();
+    fleet::Shard& seat = f.shard(0);
+    const auto drawn =
+        seat.launch_session("/usr/bin/a", "a", {0, 0, 400, 300}).value();
+    ASSERT_TRUE(
+        seat.launch_session("/usr/bin/b", "b", {50, 50, 200, 100}).is_ok());
+    seat.account();
+    const obs::Gauge* pixels =
+        seat.kernel().obs().metrics.find_gauge("seat.pixel_bytes");
+    ASSERT_NE(pixels, nullptr);
+    EXPECT_EQ(pixels->value(), 0);
+    const std::size_t proxy = f.rss_proxy_bytes();
+
+    core::OverhaulSystem& sys = seat.system();
+    if (mix == BackendMix::kX11) {
+      sys.xserver().window(drawn.window)->pixels()[0] = 0xFFFFFFFFu;
+    } else {
+      sys.compositor().surface(drawn.window)->pixels()[0] = 0xFFFFFFFFu;
+    }
+    seat.account();
+    EXPECT_EQ(pixels->value(), 400 * 300 * 4);
+    EXPECT_EQ(f.rss_proxy_bytes(), proxy + 400u * 300 * 4);
+  }
+}
+
 // --- 64-shard smoke under the default coalescing knobs -----------------------
 
 TEST(FleetSmoke, SixtyFourShardsMixedBackendsWithCoalescing) {

@@ -7,9 +7,13 @@
 // The comparison covers the full audit tuple except the free-form `detail`
 // string (which legitimately names protocol objects: "root"/"window N" vs
 // "output"/"surface N") plus the monitor's decision counters and the alert
-// overlay history length.
+// overlay history length. Scripts that capture the screen paint each app's
+// surface a distinct colour first, and every full-screen capture must be
+// byte-identical across the backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -70,14 +74,38 @@ void click_into(OverhaulSystem& sys, const apps::GuiApp& app) {
   sys.input().click(cx, cy);
 }
 
+// The app's client drawing its whole surface one colour.
+void paint(OverhaulSystem& sys, const apps::GuiApp& app, std::uint32_t argb) {
+  switch (sys.display().backend_kind()) {
+    case DisplayBackendKind::kX11:
+      sys.xserver().window(app.window())->fill(argb);
+      break;
+    case DisplayBackendKind::kWayland:
+      sys.compositor().surface(app.window())->fill(argb);
+      break;
+  }
+}
+
+// The pixels of every full-screen capture a script took, in order.
+using Captures = std::vector<std::vector<std::uint32_t>>;
+
+void record(Captures& shots, util::Result<display::Image> img) {
+  if (img.is_ok()) shots.push_back(std::move(img).value().pixels);
+}
+
 // Run `script` on a freshly booted system of each backend and insist the
-// monitor could not tell them apart.
+// monitor could not tell them apart and the user saw the same screen.
 void expect_backends_agree(
-    const std::function<void(OverhaulSystem&)>& script) {
+    const std::function<void(OverhaulSystem&, Captures&)>& script) {
   OverhaulSystem on_x11(config_for(DisplayBackendKind::kX11));
   OverhaulSystem on_wl(config_for(DisplayBackendKind::kWayland));
-  script(on_x11);
-  script(on_wl);
+  Captures x_shots;
+  Captures w_shots;
+  script(on_x11, x_shots);
+  script(on_wl, w_shots);
+  ASSERT_EQ(x_shots.size(), w_shots.size());
+  for (std::size_t i = 0; i < x_shots.size(); ++i)
+    EXPECT_TRUE(x_shots[i] == w_shots[i]) << "capture " << i << " diverged";
   const DecisionStream x = snapshot(on_x11);
   const DecisionStream w = snapshot(on_wl);
   ASSERT_EQ(x.records.size(), w.records.size());
@@ -94,7 +122,7 @@ void expect_backends_agree(
 
 // Figure 1: click → mic/cam granted with alerts; stale click → denied.
 TEST(BackendDiff, Fig1HardwareDeviceFlow) {
-  expect_backends_agree([](OverhaulSystem& sys) {
+  expect_backends_agree([](OverhaulSystem& sys, Captures&) {
     auto skype = apps::VideoConfApp::launch(sys).value();
     click_into(sys, *skype);
     sys.advance(sim::Duration::millis(50));
@@ -109,7 +137,7 @@ TEST(BackendDiff, Fig1HardwareDeviceFlow) {
 // Figure 2: mediated clipboard — user-driven copy/paste granted, the
 // background sniffer denied.
 TEST(BackendDiff, Fig2ClipboardFlow) {
-  expect_backends_agree([](OverhaulSystem& sys) {
+  expect_backends_agree([](OverhaulSystem& sys, Captures&) {
     auto pm = apps::PasswordManagerApp::launch(sys).value();
     auto editor = apps::EditorApp::launch(sys).value();
     auto spy = apps::Spyware::install(sys).value();
@@ -132,11 +160,20 @@ TEST(BackendDiff, Fig2ClipboardFlow) {
 
 // Screen capture: a clicked screenshot tool succeeds, the spyware does not.
 TEST(BackendDiff, ScreenCaptureFlow) {
-  expect_backends_agree([](OverhaulSystem& sys) {
+  expect_backends_agree([](OverhaulSystem& sys, Captures& shots) {
     auto shot = apps::ScreenshotApp::launch(sys).value();
     auto spy = apps::Spyware::install(sys).value();
+    constexpr std::uint32_t kShotColour = 0xFFF9A825u;
+    paint(sys, *shot, kShotColour);
+    paint(sys, *spy, 0xFFD50000u);  // never mapped: must not show
     click_into(sys, *shot);
-    EXPECT_TRUE(shot->capture_now().is_ok());
+    record(shots, shot->capture_now());
+    ASSERT_EQ(shots.size(), 1u);
+    const auto [cx, cy] = shot->click_point();
+    EXPECT_EQ(shots[0][static_cast<std::size_t>(
+                  cy * sys.config().screen_width + cx)],
+              kShotColour);
+    EXPECT_EQ(std::count(shots[0].begin(), shots[0].end(), 0xFFD50000u), 0);
     sys.advance(sim::Duration::seconds(5));
     EXPECT_FALSE(spy->try_screenshot().is_ok());
     EXPECT_FALSE(spy->try_record_microphone().is_ok());
@@ -147,12 +184,16 @@ TEST(BackendDiff, ScreenCaptureFlow) {
 
 // A randomized but fully deterministic mix of benign use and spyware
 // attempts. Both backends replay the identical action sequence.
-void random_session(OverhaulSystem& sys, std::uint64_t seed) {
+void random_session(OverhaulSystem& sys, Captures& shots, std::uint64_t seed) {
   auto pm = apps::PasswordManagerApp::launch(sys).value();
   auto editor = apps::EditorApp::launch(sys).value();
   auto shot = apps::ScreenshotApp::launch(sys).value();
   auto spy = apps::Spyware::install(sys).value();
   pm->store_password("bank", "hunter2");
+  paint(sys, *pm, 0xFF2E7D32u);
+  paint(sys, *editor, 0xFF1565C0u);
+  paint(sys, *shot, 0xFFF9A825u);
+  paint(sys, *spy, 0xFFD50000u);
 
   util::Rng rng(seed);
   for (int step = 0; step < 60; ++step) {
@@ -166,7 +207,7 @@ void random_session(OverhaulSystem& sys, std::uint64_t seed) {
         break;
       case 5:
         click_into(sys, *shot);
-        (void)shot->capture_now();
+        record(shots, shot->capture_now());
         break;
       case 6: (void)spy->try_screenshot(); break;
       case 7: (void)spy->try_record_microphone(); break;
@@ -174,19 +215,25 @@ void random_session(OverhaulSystem& sys, std::uint64_t seed) {
     sys.advance(sim::Duration::millis(
         static_cast<std::int64_t>(rng.next_below(3000)) + 10));
   }
+  EXPECT_FALSE(shots.empty()) << "the session never captured the screen";
 }
 
 TEST(BackendDiff, SeededRandomSession7) {
-  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 7); });
+  expect_backends_agree([](OverhaulSystem& sys, Captures& shots) {
+    random_session(sys, shots, 7);
+  });
 }
 
 TEST(BackendDiff, SeededRandomSession1234) {
-  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 1234); });
+  expect_backends_agree([](OverhaulSystem& sys, Captures& shots) {
+    random_session(sys, shots, 1234);
+  });
 }
 
 TEST(BackendDiff, SeededRandomSession987654321) {
-  expect_backends_agree(
-      [](OverhaulSystem& sys) { random_session(sys, 987654321); });
+  expect_backends_agree([](OverhaulSystem& sys, Captures& shots) {
+    random_session(sys, shots, 987654321);
+  });
 }
 
 // --- the attack surface each backend closes in its own idiom -----------------

@@ -84,6 +84,31 @@ TEST(AlertOverlay, NoSecretConfiguredMeansNothingAuthentic) {
   EXPECT_FALSE(overlay.is_authentic(a));
 }
 
+// Past kHistoryCapacity alerts the oldest are overwritten in place: history()
+// stays oldest-first and bounded while shown_count() keeps counting until
+// clear_history().
+TEST(AlertOverlay, HistoryIsABoundedRing) {
+  sim::Clock clock;
+  AlertOverlay overlay(clock);
+  const std::size_t cap = AlertOverlay::kHistoryCapacity;
+  for (std::size_t i = 0; i < cap + 5; ++i)
+    overlay.show(static_cast<int>(i), "app", Op::kCamera, Decision::kGrant);
+  EXPECT_EQ(overlay.shown_count(), cap + 5);
+  const auto held = overlay.history();
+  ASSERT_EQ(held.size(), cap);
+  for (std::size_t i = 0; i < cap; ++i)
+    EXPECT_EQ(held[i].pid, static_cast<int>(i + 5));
+  EXPECT_EQ(held.back().pid, static_cast<int>(cap + 4));
+  EXPECT_EQ(overlay.active(clock.now()).size(), cap);
+
+  overlay.clear_history();
+  EXPECT_EQ(overlay.shown_count(), 0u);
+  EXPECT_TRUE(overlay.history().empty());
+  overlay.show(99, "app", Op::kCamera, Decision::kDeny);
+  ASSERT_EQ(overlay.history().size(), 1u);
+  EXPECT_EQ(overlay.history()[0].pid, 99);
+}
+
 class AlertSystemTest : public ::testing::Test {
  protected:
   core::OverhaulSystem sys_;

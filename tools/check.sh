@@ -94,6 +94,12 @@ step "ctest -R audit (binary audit pipeline battery)"
 step "ctest -R fleet (multi-seat fleet battery)"
 (cd "$BUILD_DIR" && ctest -R '^fleet' --output-on-failure -j "$JOBS")
 
+# Every build type compiles under -Werror: GCC's -O3 inlining in Release
+# reaches warnings the RelWithDebInfo presets never see.
+step "Release build (-DCMAKE_BUILD_TYPE=Release, -Werror)"
+cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-rel -j "$JOBS"
+
 # The parallel engine's race gate: the fleet + simulation-core batteries
 # (whose tests spawn up to 8-lane worker pools) rebuilt and re-run under
 # ThreadSanitizer. Skipped when this whole run already uses the tsan preset.

@@ -35,7 +35,13 @@ std::string esc(const std::string& s) {
   return out;
 }
 
-std::string quoted(const std::string& s) { return "\"" + esc(s) + "\""; }
+std::string quoted(const std::string& s) {
+  const std::string body = esc(s);
+  std::string out;
+  out.reserve(body.size() + 2);
+  out.append(1, '"').append(body).append(1, '"');
+  return out;
+}
 
 struct RuleMeta {
   const char* id;
