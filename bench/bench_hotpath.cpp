@@ -1,6 +1,6 @@
 // Mediation fast-path microbenchmark (DESIGN.md §10): ns/op for the four
 // operations the zero-allocation work targets —
-//   lookup           — pid → TaskStruct* through the slab's dense index
+//   lookup           — pid → TaskStruct* through the slab's paged pid map
 //   check            — PermissionMonitor::check, grant path, audit/trace off
 //   notify           — send_interaction with coalescing disabled (one kernel
 //                      crossing per event)

@@ -62,7 +62,7 @@ std::size_t Shard::rss_proxy_bytes() {
   kern::Kernel& k = system_.kernel();
   // Binary ring accounting: 64-byte records + intern payload, not the text
   // log's record-struct-plus-two-heap-strings footprint (DESIGN.md §16).
-  return k.processes().slab_bytes() + k.audit().memory_bytes() +
+  return k.processes().bytes() + k.audit().memory_bytes() +
          system_.display().pixel_bytes();
 }
 

@@ -88,9 +88,9 @@ class Shard {
   // Refresh the per-seat resource gauges from live kernel state.
   void account();
 
-  // Bytes of the shard's dominant growable allocations: the process-table
-  // slab, the audit ring and the display's pixel storage. The fleet RSS
-  // proxy sums this across shards.
+  // Bytes of the shard's dominant growable allocations: the process table
+  // (slab chunks and pid pages), the audit ring and the display's pixel
+  // storage. The fleet RSS proxy sums this across shards.
   [[nodiscard]] std::size_t rss_proxy_bytes();
 
  private:

@@ -47,14 +47,38 @@ TaskStruct& ProcessTable::allocate_task(Pid pid) {
   }
   Slot& slot = slot_at(index);
   slot.in_use = true;
-
-  if (static_cast<std::size_t>(pid) >= pid_to_slot_.size())
-    pid_to_slot_.resize(static_cast<std::size_t>(pid) + 1, -1);
-  pid_to_slot_[static_cast<std::size_t>(pid)] = index;
-
+  bind_pid(pid, index);
   slot.task.pid = pid;
   ++live_count_;
   return slot.task;
+}
+
+void ProcessTable::bind_pid(Pid pid, std::int32_t index) {
+  const std::size_t page = static_cast<std::size_t>(pid) >> kPidPageShift;
+  if (page >= pid_pages_.size()) pid_pages_.resize(page + 1);
+  PidPageEntry& entry = pid_pages_[page];
+  if (entry.page == nullptr) {
+    if (spare_page_ != nullptr) {
+      entry.page = std::move(spare_page_);  // already all -1
+    } else {
+      entry.page = std::make_unique_for_overwrite<PidPage>();
+      entry.page->fill(-1);
+    }
+  }
+  (*entry.page)[static_cast<std::size_t>(pid) & kPidPageMask] = index;
+  ++entry.bound;
+}
+
+void ProcessTable::unbind_pid(Pid pid) {
+  PidPageEntry& entry =
+      pid_pages_[static_cast<std::size_t>(pid) >> kPidPageShift];
+  (*entry.page)[static_cast<std::size_t>(pid) & kPidPageMask] = -1;
+  if (--entry.bound > 0) return;
+  if (spare_page_ == nullptr) {
+    spare_page_ = std::move(entry.page);
+  } else {
+    entry.page.reset();
+  }
 }
 
 Result<Pid> ProcessTable::fork(Pid parent_pid) {
@@ -80,8 +104,6 @@ Result<Pid> ProcessTable::fork(Pid parent_pid) {
   // fd table copied; descriptions shared (refcount), like real fork.
   child.fds = parent->fds;
   child.next_fd = parent->next_fd;
-
-  parent->children.push_back(pid);
   return pid;
 }
 
@@ -106,8 +128,6 @@ Result<Pid> ProcessTable::spawn_thread(Pid leader_pid) {
   thread.acg_grants = leader->acg_grants;
   thread.fds = leader->fds;
   thread.next_fd = leader->next_fd;
-
-  leader->children.push_back(pid);
   return pid;
 }
 
@@ -149,7 +169,7 @@ Status ProcessTable::reap(Pid pid) {
   Slot& slot = slot_at(index);
   if (slot.task.alive)
     return Status(Code::kBusy, "reap: process still running");
-  pid_to_slot_[static_cast<std::size_t>(pid)] = -1;
+  unbind_pid(pid);
   // Invalidate outstanding handles before the slot can be recycled.
   ++slot.generation;
   slot.in_use = false;
@@ -225,6 +245,14 @@ bool ProcessTable::is_descendant(Pid ancestor, Pid descendant) const {
     cur = lookup(cur->ppid);
   }
   return false;
+}
+
+std::size_t ProcessTable::bytes() const noexcept {
+  std::size_t pages = spare_page_ != nullptr ? 1 : 0;
+  for (const PidPageEntry& entry : pid_pages_)
+    if (entry.page != nullptr) ++pages;
+  return chunks_.size() * sizeof(Chunk) + pages * sizeof(PidPage) +
+         pid_pages_.capacity() * sizeof(PidPageEntry);
 }
 
 void ProcessTable::for_each_live(const std::function<void(TaskStruct&)>& fn) {

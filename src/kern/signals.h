@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "kern/process_table.h"
 #include "util/status.h"
@@ -33,27 +34,25 @@ class SignalManager {
   // stopped state; SIGUSR1 is delivered to a per-task pending count.
   util::Status send(Pid sender, Pid target, Signal sig);
 
+  // Signal state lives in the target's task_struct, so it dies with the
+  // task: queries about a dead or unknown pid answer "not stopped, nothing
+  // pending", and a recycled pid starts clean.
   [[nodiscard]] bool is_stopped(Pid pid) const {
-    const auto it = stopped_.find(pid);
-    return it != stopped_.end() && it->second;
+    const TaskStruct* task = processes_.lookup_live(pid);
+    return task != nullptr && task->stopped;
   }
   [[nodiscard]] std::uint32_t pending_usr1(Pid pid) const {
-    const auto it = usr1_.find(pid);
-    return it == usr1_.end() ? 0 : it->second;
+    const TaskStruct* task = processes_.lookup_live(pid);
+    return task == nullptr ? 0 : task->pending_usr1;
   }
   // Consume pending SIGUSR1s (what a handler loop would do).
   std::uint32_t take_usr1(Pid pid) {
-    const auto it = usr1_.find(pid);
-    if (it == usr1_.end()) return 0;
-    const std::uint32_t n = it->second;
-    usr1_.erase(it);
-    return n;
+    TaskStruct* task = processes_.lookup_live(pid);
+    return task == nullptr ? 0 : std::exchange(task->pending_usr1, 0u);
   }
 
  private:
   ProcessTable& processes_;
-  std::map<Pid, bool> stopped_;
-  std::map<Pid, std::uint32_t> usr1_;
 };
 
 }  // namespace overhaul::kern

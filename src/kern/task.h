@@ -48,6 +48,11 @@ struct TaskStruct {
   std::string comm;         // process name (set by execve / spawn)
   std::string exe_path;     // absolute path of the executable image
   bool alive = true;
+  // Signal state (kern::SignalManager): SIGSTOP/SIGCONT toggle `stopped`,
+  // SIGUSR1 adds to `pending_usr1`. Fork does not copy either, and reap()
+  // clears both with the rest of the slot, so a recycled pid starts clean.
+  bool stopped = false;
+  std::uint32_t pending_usr1 = 0;
 
   // --- Overhaul addition ---------------------------------------------------
   // Most recent authentic user-interaction timestamp. `never()` until the
@@ -119,9 +124,6 @@ struct TaskStruct {
   }
 
   bool close_fd(int n) { return fds.erase(n) > 0; }
-
-  // --- tree ----------------------------------------------------------------
-  std::vector<Pid> children;
 };
 
 }  // namespace overhaul::kern

@@ -367,6 +367,16 @@ TEST(FleetMetrics, SeatGaugesTrackShardResources) {
   EXPECT_GT(f.rss_proxy_bytes(), 0u);
 }
 
+// A booted seat holds a handful of tasks, so its process table is one
+// 16-slot chunk and one pid page, not a slab sized for the pid space.
+TEST(FleetMetrics, BootedSeatProcessTableIsOneChunkAndOnePidPage) {
+  for (const BackendMix mix : {BackendMix::kX11, BackendMix::kWayland}) {
+    FleetHarness f(small_fleet(1, mix));
+    f.boot_fleet();
+    EXPECT_LE(f.shard(0).kernel().processes().bytes(), 16u * 1024);
+  }
+}
+
 // Window pixels stay one solid colour until a client draws, so a booted seat
 // holds no pixel storage; one drawn window adds exactly width × height × 4
 // bytes to the seat gauge and to the RSS proxy.

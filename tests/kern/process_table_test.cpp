@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace overhaul::kern {
 namespace {
 
@@ -291,6 +294,119 @@ TEST(ProcessTableSlab, ReapedSlotsAreRecycledNotLeaked) {
     ASSERT_TRUE(pt.exit(pid).is_ok());
     ASSERT_TRUE(pt.reap(pid).is_ok());
   }
+}
+
+// --- paged pid map ------------------------------------------------------------
+// pid → slot goes through 1024-pid pages: allocated on first bind, released
+// when their last pid is reaped, one emptied page kept as a spare.
+
+// Fork children of init until `pid` has been handed out.
+void fork_through(ProcessTable& pt, Pid pid) {
+  while (pt.last_pid() < pid) ASSERT_TRUE(pt.fork(1).is_ok());
+}
+
+void exit_and_reap(ProcessTable& pt, Pid pid) {
+  ASSERT_TRUE(pt.exit(pid).is_ok()) << pid;
+  ASSERT_TRUE(pt.reap(pid).is_ok()) << pid;
+}
+
+void expect_unbound(ProcessTable& pt, Pid pid) {
+  EXPECT_EQ(pt.lookup(pid), nullptr) << pid;
+  EXPECT_EQ(pt.lookup_live(pid), nullptr) << pid;
+  EXPECT_FALSE(pt.handle_of(pid).valid()) << pid;
+}
+
+TEST(ProcessTablePidMap, PageEdgePidsResolveToTheirOwnTasks) {
+  ProcessTable pt;
+  fork_through(pt, 1025);
+  for (const Pid pid : {1023, 1024, 1025}) {
+    const TaskStruct* task = pt.lookup(pid);
+    ASSERT_NE(task, nullptr) << pid;
+    EXPECT_EQ(task->pid, pid);
+    EXPECT_EQ(pt.lookup_live(pid), task);
+    EXPECT_EQ(pt.get(pt.handle_of(pid)), task);
+  }
+  expect_unbound(pt, 1026);
+}
+
+TEST(ProcessTablePidMap, ReapedPidsMissBeforeAndAfterTheirPageIsReleased) {
+  ProcessTable pt;
+  fork_through(pt, 1025);
+  // 1023 shares page 0 with init; 1024 and 1025 are alone in page 1.
+  exit_and_reap(pt, 1023);
+  expect_unbound(pt, 1023);
+  exit_and_reap(pt, 1024);
+  expect_unbound(pt, 1024);
+  ASSERT_NE(pt.lookup(1025), nullptr);  // page 1 still held
+  exit_and_reap(pt, 1025);              // now page 1 is empty
+  for (const Pid pid : {1023, 1024, 1025}) expect_unbound(pt, pid);
+  EXPECT_EQ(pt.lookup(1022)->pid, 1022);
+}
+
+TEST(ProcessTablePidMap, EmptiedPagesAreReleasedKeepingOneSpare) {
+  constexpr std::size_t kPageBytes = 1024 * sizeof(std::int32_t);
+  ProcessTable pt;
+  fork_through(pt, 3071);  // pages 0, 1 and 2 all bound
+  const std::size_t held = pt.bytes();
+  for (Pid pid = 2048; pid <= 3071; ++pid) exit_and_reap(pt, pid);
+  EXPECT_EQ(pt.bytes(), held);  // page 2 kept as the spare
+  for (Pid pid = 1024; pid <= 2047; ++pid) exit_and_reap(pt, pid);
+  EXPECT_EQ(pt.bytes(), held - kPageBytes);  // page 1 released
+  // The next pid opens page 3 on the spare.
+  ASSERT_EQ(pt.fork(1).value(), 3072);
+  EXPECT_EQ(pt.lookup(3072)->pid, 3072);
+  expect_unbound(pt, 2048);
+}
+
+TEST(ProcessTablePidMap, WraparoundAcrossPagesReusesReapedPids) {
+  constexpr Pid kPidMax = 3000;  // pages 0, 1 and 2
+  constexpr Pid kSurvivor = 1500;
+  ProcessTable pt(kPidMax);
+  std::vector<TaskHandle> stale(kPidMax + 1);
+  std::vector<bool> reused(kPidMax + 1, false);
+  // Two laps of the pid space and then some, one task kept alive mid-page.
+  for (int i = 0; i < 2 * kPidMax; ++i) {
+    const auto forked = pt.fork(1);
+    ASSERT_TRUE(forked.is_ok()) << i;
+    const Pid pid = forked.value();
+    ASSERT_NE(pid, 1);
+    if (stale[pid].valid()) {
+      ASSERT_NE(pid, kSurvivor);
+      reused[pid] = true;
+      EXPECT_EQ(pt.get(stale[pid]), nullptr) << pid;
+      EXPECT_EQ(pt.get(pt.handle_of(pid)), pt.lookup(pid));
+    }
+    stale[pid] = pt.handle_of(pid);
+    if (pid == kSurvivor) continue;
+    exit_and_reap(pt, pid);
+    EXPECT_EQ(pt.get(stale[pid]), nullptr) << pid;
+  }
+  for (const Pid pid : {2, 1023, 1024, 2047, 2048, kPidMax})
+    EXPECT_TRUE(reused[pid]) << pid;
+  EXPECT_EQ(pt.lookup(kSurvivor)->pid, kSurvivor);
+  EXPECT_EQ(pt.get(stale[kSurvivor]), pt.lookup(kSurvivor));
+}
+
+// Fork/exit/reap churn from one long-lived parent walks the pid through
+// ~200 pages; the table keeps only what its few tasks need, and nothing it
+// holds moves.
+TEST(ProcessTablePidMap, ChurnKeepsBytesBoundedAndTasksInPlace) {
+  ProcessTable pt;
+  const Pid parent = pt.fork(1).value();
+  const TaskStruct* init = pt.lookup(1);
+  const TaskStruct* parent_task = pt.lookup(parent);
+  for (int i = 0; i < 200'000; ++i) {
+    const auto child = pt.fork(parent);
+    ASSERT_TRUE(child.is_ok()) << i;
+    exit_and_reap(pt, child.value());
+  }
+  EXPECT_EQ(pt.last_pid(), 200'002);
+  // One chunk, init's page, the current page, the spare and a ~200-entry
+  // directory: ~20 KB, where a pid-indexed vector would hold ~800 KB.
+  EXPECT_LT(pt.bytes(), 32u * 1024);
+  EXPECT_EQ(pt.lookup(1), init);
+  EXPECT_EQ(pt.lookup(parent), parent_task);
+  EXPECT_EQ(pt.live_count(), 2u);
 }
 
 TEST(TaskStruct, AcgGrantArrayAdoptsForwardOnly) {

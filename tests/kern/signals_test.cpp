@@ -103,5 +103,44 @@ TEST_F(SignalsTest, KillDropsNetlinkChannel) {
   EXPECT_EQ(sys_.xserver().alerts().shown_count(), 0u);
 }
 
+// Signal state lives in the task_struct, so it dies with the task. A task
+// that leaves through exit(2) rather than a fatal signal must not hand its
+// stopped flag or pending SIGUSR1s to the next task given its pid.
+TEST(SignalState, DoesNotOutliveItsTaskAcrossPidReuse) {
+  ProcessTable pt(/*pid_max=*/8);
+  SignalManager signals(pt);
+  const Pid pid = pt.fork(1).value();
+  ASSERT_TRUE(signals.send(1, pid, Signal::kStop).is_ok());
+  ASSERT_TRUE(signals.send(1, pid, Signal::kUsr1).is_ok());
+  ASSERT_TRUE(signals.is_stopped(pid));
+  ASSERT_TRUE(pt.exit(pid).is_ok());
+  EXPECT_FALSE(signals.is_stopped(pid));  // only live tasks are stopped
+  ASSERT_TRUE(pt.reap(pid).is_ok());
+  // The first fork takes over the reaped slot, and forking on until the
+  // pids wrap hands out the reaped pid: every new task starts clean.
+  Pid reused = kNoPid;
+  for (int i = 0; i < 8 && reused != pid; ++i) {
+    const auto forked = pt.fork(1);
+    ASSERT_TRUE(forked.is_ok());
+    reused = forked.value();
+    EXPECT_FALSE(signals.is_stopped(reused)) << reused;
+    EXPECT_EQ(signals.pending_usr1(reused), 0u) << reused;
+  }
+  ASSERT_EQ(reused, pid);
+}
+
+TEST(SignalState, ForkDoesNotCopyIt) {
+  ProcessTable pt;
+  SignalManager signals(pt);
+  const Pid parent = pt.fork(1).value();
+  ASSERT_TRUE(signals.send(1, parent, Signal::kStop).is_ok());
+  ASSERT_TRUE(signals.send(1, parent, Signal::kUsr1).is_ok());
+  const Pid child = pt.fork(parent).value();
+  EXPECT_FALSE(signals.is_stopped(child));
+  EXPECT_EQ(signals.pending_usr1(child), 0u);
+  EXPECT_TRUE(signals.is_stopped(parent));
+  EXPECT_EQ(signals.take_usr1(parent), 1u);
+}
+
 }  // namespace
 }  // namespace overhaul::kern

@@ -6,10 +6,11 @@
 #   tools/check.sh asan            # any preset from CMakePresets.json
 #   tools/check.sh tsan
 #   tools/check.sh --metrics       # additionally smoke the BENCH_*.json path
-#   tools/check.sh --bench         # additionally smoke the perf benches
-#                                  # (bench_hotpath, bench_table1, bench_lint,
-#                                  # bench_fleet, bench_audit + the
-#                                  # trajectory diff gate)
+#   tools/check.sh --bench         # additionally run the repository
+#                                  # benchmark's self-test (perfbench/) and
+#                                  # smoke the perf benches (bench_hotpath,
+#                                  # bench_table1, bench_lint, bench_fleet,
+#                                  # bench_audit + the trajectory diff gate)
 #   JOBS=4 tools/check.sh          # override parallelism
 #
 # --metrics and --bench combine, in any order, before the preset name.
@@ -117,6 +118,14 @@ if [ "$METRICS" = 1 ]; then
 fi
 
 if [ "$BENCH" = 1 ]; then
+  # The repository benchmark (BENCHMARK.json) builds src/ itself, into the
+  # git-ignored .bench_build/ (about a minute the first time), and its
+  # self-test runs every workload briefly against its decision oracle, so a
+  # src/ change that breaks the harness fails here rather than at
+  # benchmark time.
+  step "perfbench --selftest (repository benchmark harness)"
+  python3 perfbench/run.py --selftest
+
   step "bench smoke (bench_hotpath + bench_table1 wl, --quick)"
   (cd "$BUILD_DIR" &&
     ./bench/bench_hotpath --quick >/dev/null &&
