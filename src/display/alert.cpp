@@ -1,45 +1,66 @@
 #include "display/alert.h"
 
+#include <algorithm>
+#include <string_view>
+
 namespace overhaul::display {
 namespace {
 
-std::string render_text(const std::string& comm, util::Op op,
-                        util::Decision decision) {
-  std::string verb;
+constexpr std::string_view verb_of(util::Op op) {
   switch (op) {
-    case util::Op::kMicrophone: verb = "is recording from the microphone"; break;
-    case util::Op::kCamera: verb = "is using the camera"; break;
-    case util::Op::kScreenCapture: verb = "is capturing the screen"; break;
-    case util::Op::kDeviceOther: verb = "is accessing a protected device"; break;
-    case util::Op::kCopy: verb = "copied to the clipboard"; break;
-    case util::Op::kPaste: verb = "pasted from the clipboard"; break;
+    case util::Op::kMicrophone: return "is recording from the microphone";
+    case util::Op::kCamera: return "is using the camera";
+    case util::Op::kScreenCapture: return "is capturing the screen";
+    case util::Op::kDeviceOther: return "is accessing a protected device";
+    case util::Op::kCopy: return "copied to the clipboard";
+    case util::Op::kPaste: return "pasted from the clipboard";
   }
+  return {};
+}
+
+constexpr std::string_view kBlocked = "Blocked: ";
+constexpr std::string_view kTried = " tried and ";
+
+// The longest message for a comm of up to 15 bytes (Linux's TASK_COMM_LEN
+// less the NUL). A new ring slot reserves it, so a full ring rewrites its
+// texts in place whatever mix of alerts follows.
+constexpr std::size_t kTextCapacity = [] {
+  std::size_t verb = 0;
+  for (std::size_t op = 0; op < util::kOpCount; ++op)
+    verb = std::max(verb, verb_of(static_cast<util::Op>(op)).size());
+  return kBlocked.size() + 15 + kTried.size() + verb;
+}();
+
+// Renders into `text`, reusing its storage.
+void render_text(std::string& text, const std::string& comm, util::Op op,
+                 util::Decision decision) {
+  text.clear();
   if (decision == util::Decision::kDeny) {
-    return "Blocked: " + comm + " tried and " + verb;
+    text.append(kBlocked).append(comm).append(kTried).append(verb_of(op));
+  } else {
+    text.append(comm).append(1, ' ').append(verb_of(op));
   }
-  return comm + " " + verb;
 }
 
 }  // namespace
 
 const Alert& AlertOverlay::show(int pid, const std::string& comm, util::Op op,
                                 util::Decision decision) {
-  Alert alert;
+  // The ring grows to kHistoryCapacity; after that each alert is written
+  // over the oldest one's strings, so a full ring shows alerts without
+  // touching the heap.
+  const std::size_t slot = shown_++ % kHistoryCapacity;
+  if (slot == ring_.size()) ring_.emplace_back().text.reserve(kTextCapacity);
+  Alert& alert = ring_[slot];
   alert.shown_at_ns = clock_.now().ns;
   alert.expires_at_ns = (clock_.now() + duration_).ns;
   alert.pid = pid;
   alert.comm = comm;
   alert.op = op;
   alert.decision = decision;
-  alert.text = render_text(comm, op, decision);
+  render_text(alert.text, comm, op, decision);
   alert.secret = secret_;
-  const std::size_t slot = shown_++ % kHistoryCapacity;
-  if (slot == ring_.size()) {
-    ring_.push_back(std::move(alert));
-  } else {
-    ring_[slot] = std::move(alert);
-  }
-  return ring_[slot];
+  return alert;
 }
 
 std::string AlertOverlay::render_banner(const Alert& alert) {

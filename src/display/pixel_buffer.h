@@ -20,6 +20,8 @@
 
 namespace overhaul::display {
 
+struct Layer;
+
 class PixelBuffer {
  public:
   // Solid zero, like a fresh backing store.
@@ -47,10 +49,13 @@ class PixelBuffer {
 
   // Copy the `n` pixels starting at row-major index `offset` to `out`.
   void read(std::size_t offset, std::size_t n, std::uint32_t* out) const;
-  // The whole buffer as a capture result.
+  // The whole buffer as a capture result: composite() with no layers.
   [[nodiscard]] Image to_image() const;
 
  private:
+  friend Image composite(const PixelBuffer& background,
+                         std::span<const Layer> layers);
+
   int width_;
   int height_;
   std::uint32_t colour_ = 0;            // every pixel while storage_ is empty
@@ -65,8 +70,11 @@ struct Layer {
 };
 
 // The one compositor both display backends use: `background` (which sets the
-// screen size), then `layers` painted bottom → top, each clipped to the
-// screen.
+// screen size) under `layers`, stacked bottom → top, each clipped to the
+// screen. Every output pixel is written once: the screen is cut into
+// horizontal bands at the layers' top and bottom edges, each band's row is
+// split into runs owned by the topmost layer (or the background), and the
+// rows are appended run by run to an image reserved to its final size.
 [[nodiscard]] Image composite(const PixelBuffer& background,
                               std::span<const Layer> layers);
 

@@ -167,7 +167,8 @@ class FleetHarness {
   // free; reads walk shard registries, the hot path never pays for it.
   [[nodiscard]] std::uint64_t aggregate_counter(const std::string& name);
 
-  // Sum of every live shard's slab + audit-ring bytes (peak-RSS proxy).
+  // Sum of every live shard's process-table, audit-ring and pixel bytes
+  // (peak-RSS proxy).
   [[nodiscard]] std::size_t rss_proxy_bytes();
 
   [[nodiscard]] std::uint64_t steps_taken() const noexcept { return steps_; }

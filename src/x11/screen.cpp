@@ -35,7 +35,7 @@ Status ScreenResources::authorize_capture(ClientId client, WindowId window_id) {
 }
 
 Image ScreenResources::composite_screen() const {
-  // The root window's buffer is the background; mapped windows paint over
+  // The root window's buffer is the background; mapped windows stack over
   // it bottom → top.
   std::vector<display::Layer> layers;
   for (WindowId wid : server_.stacking_order()) {

@@ -4,7 +4,10 @@
 // detail is borrowed as a string_view, ACG grants are a fixed per-Op array,
 // pid→task is a slab load — and since the binary audit pipeline, logging a
 // decision is two warm intern lookups plus a 64-byte ring store, so the
-// contract holds with auditing *enabled* too (asserted below). This binary
+// contract holds with auditing *enabled* too (asserted below). On a booted
+// system the alert a mic, camera or capture decision raises is written in
+// place into the overlay's full ring, so that path allocates nothing
+// either. This binary
 // overrides the global allocator with counting shims — it must stay its own
 // test executable so the override cannot leak into other suites.
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <new>
 
 #include "audit/sink.h"
+#include "core/system.h"
 #include "kern/permission_monitor.h"
 #include "kern/process_table.h"
 #include "sim/clock.h"
@@ -61,20 +65,20 @@ namespace {
 using util::Decision;
 using util::Op;
 
+// Allocations performed by `fn` alone.
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  const std::uint64_t before = g_allocations.load();
+  fn();
+  return g_allocations.load() - before;
+}
+
 class CheckAllocTest : public ::testing::Test {
  protected:
   CheckAllocTest() : monitor_(processes_, clock_, audit_) {
     monitor_.set_audit_enabled(false);  // no tracer attached either
     app_ = processes_.fork(1).value();
     clock_.advance(sim::Duration::seconds(5));
-  }
-
-  // Allocations performed by `fn` alone.
-  template <typename Fn>
-  std::uint64_t allocations_during(Fn&& fn) {
-    const std::uint64_t before = g_allocations.load();
-    fn();
-    return g_allocations.load() - before;
   }
 
   sim::Clock clock_;
@@ -173,6 +177,49 @@ TEST_F(CheckAllocTest, SlabLookupIsAllocationFree) {
   });
   EXPECT_EQ(n, 0u);
 }
+
+// The trusted-output path on a booted system, both backends: with the
+// overlay's ring and the audit ring full, granted and denied mic, camera and
+// screen-capture checks each raise an alert and allocate nothing.
+class AlertPathAllocTest
+    : public ::testing::TestWithParam<core::DisplayBackendKind> {};
+
+TEST_P(AlertPathAllocTest, FullRingAlertsAreAllocationFree) {
+  core::OverhaulConfig cfg;
+  cfg.display_backend = GetParam();
+  cfg.trace = false;
+  core::OverhaulSystem sys(cfg);
+  sys.audit().set_capacity(64);
+  const Pid recorder = sys.launch_daemon("/usr/bin/rec", "rec").value();
+  const Pid spy = sys.launch_daemon("/usr/bin/spy", "spy").value();
+  PermissionMonitor& monitor = sys.kernel().monitor();
+  ASSERT_TRUE(monitor.record_interaction(recorder, sys.clock().now()));
+  const auto round = [&] {
+    for (const Op op : {Op::kMicrophone, Op::kCamera, Op::kScreenCapture}) {
+      ASSERT_EQ(monitor.check_now(recorder, op, "device"), Decision::kGrant);
+      ASSERT_EQ(monitor.check_now(spy, op, "device"), Decision::kDeny);
+    }
+  };
+  // Warm-up: 11 rounds raise 66 alerts, enough to fill the 64-slot ring.
+  for (int i = 0; i < 11; ++i) round();
+  const display::AlertOverlay& overlay = sys.display().alert_overlay();
+  const std::size_t warm = overlay.shown_count();
+  ASSERT_GE(warm, display::AlertOverlay::kHistoryCapacity);
+
+  const auto n = allocations_during([&] {
+    for (int i = 0; i < 100; ++i) round();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(overlay.shown_count(), warm + 600);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, AlertPathAllocTest,
+    ::testing::Values(core::DisplayBackendKind::kX11,
+                      core::DisplayBackendKind::kWayland),
+    [](const auto& info) {
+      return std::string(core::display_backend_name(info.param));
+    });
 
 // Sanity: the counter actually observes heap traffic (guards against the
 // shims being optimized out or not linked).

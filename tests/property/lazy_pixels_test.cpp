@@ -1,11 +1,13 @@
 // Lazy pixel buffers (display::PixelBuffer) read exactly like eager ones.
 //
-// Seeded random scenes on both backends: windows at random rects, some
-// partly or wholly off-screen, filled, drawn into through pixels(), moved,
-// resized, unmapped, raised, transparent or input-only, plus X11 CopyArea
-// and CopyPlane between them. An eager model keeps every window's contents
-// as a full vector and composes the screen pixel by pixel; every read path
-// must return exactly those bytes, and no read may allocate pixel storage.
+// Compositor edge cases are checked against a per-pixel reference. Then
+// seeded random scenes of 5 and 16 windows on both backends: windows at
+// random rects, some partly or wholly off-screen, filled, drawn into through
+// pixels(), moved, resized, unmapped, raised, transparent or input-only,
+// plus X11 CopyArea and CopyPlane between them. An eager model keeps every
+// window's contents as a full vector and composes the screen pixel by pixel;
+// every read path must return exactly those bytes, and no read may allocate
+// pixel storage.
 #include "display/pixel_buffer.h"
 
 #include <gtest/gtest.h>
@@ -79,6 +81,172 @@ TEST(PixelBuffer, SolidRunsReadBackAtEveryLength) {
   }
 }
 
+// --- compositor edge cases -----------------------------------------------------
+
+using display::Layer;
+
+// The screen composed pixel by pixel: each pixel read from the topmost layer
+// holding it, else from the background.
+Pixels reference_composite(const PixelBuffer& background,
+                           const std::vector<Layer>& layers) {
+  const std::int64_t w = background.width();
+  const std::int64_t h = background.height();
+  Pixels out(static_cast<std::size_t>(w * h));
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      const PixelBuffer* src = &background;
+      std::int64_t at = y * w + x;
+      for (const Layer& l : layers) {
+        const std::int64_t sx = x - l.x;
+        const std::int64_t sy = y - l.y;
+        if (sx < 0 || sy < 0 || sx >= l.pixels->width() ||
+            sy >= l.pixels->height())
+          continue;
+        src = l.pixels;
+        at = sy * l.pixels->width() + sx;
+      }
+      src->read(static_cast<std::size_t>(at), 1,
+                &out[static_cast<std::size_t>(y * w + x)]);
+    }
+  }
+  return out;
+}
+
+void expect_composite(const PixelBuffer& background,
+                      const std::vector<Layer>& layers) {
+  const Image img = display::composite(background, layers);
+  EXPECT_EQ(img.width, background.width());
+  EXPECT_EQ(img.height, background.height());
+  EXPECT_EQ(img.pixels, reference_composite(background, layers));
+}
+
+PixelBuffer solid(int w, int h, std::uint32_t argb) {
+  PixelBuffer buf(w, h);
+  buf.fill(argb);
+  return buf;
+}
+
+// Every pixel distinct, and distinct from every other buffer's `tag`, so a
+// pixel read from the wrong buffer or offset shows.
+PixelBuffer drawn(int w, int h, std::uint32_t tag) {
+  PixelBuffer buf(w, h);
+  const std::span<std::uint32_t> px = buf.pixels();
+  for (std::size_t i = 0; i < px.size(); ++i)
+    px[i] = (tag << 24) | static_cast<std::uint32_t>(i);
+  return buf;
+}
+
+constexpr int kW = 24;
+constexpr int kH = 10;
+constexpr std::uint32_t kTeal = 0xFF008080u;  // not byte-uniform
+constexpr std::uint32_t kRed = 0xFFFF0000u;
+
+TEST(Composite, OneSurfaceCoversTheScreen) {
+  const PixelBuffer bg = drawn(kW, kH, 1);
+  const PixelBuffer exact = drawn(kW, kH, 2);
+  const PixelBuffer wider = drawn(kW + 6, kH + 4, 3);
+  const PixelBuffer flat = solid(kW, kH, kTeal);
+  expect_composite(bg, {{0, 0, &exact}});
+  expect_composite(bg, {{-3, -2, &wider}});
+  expect_composite(bg, {{0, 0, &flat}});
+  expect_composite(bg, {{0, 0, &exact}, {0, 0, &flat}});
+  expect_composite(bg, {{0, 0, &flat}, {0, 0, &exact}});
+}
+
+TEST(Composite, SameRectTopWins) {
+  const PixelBuffer bg = solid(kW, kH, 0);
+  const PixelBuffer a = drawn(8, 4, 1);
+  const PixelBuffer b = drawn(8, 4, 2);
+  const PixelBuffer c = solid(8, 4, kRed);
+  expect_composite(bg, {{5, 2, &a}, {5, 2, &b}});
+  expect_composite(bg, {{5, 2, &b}, {5, 2, &a}});
+  expect_composite(bg, {{5, 2, &a}, {5, 2, &c}});
+  expect_composite(bg, {{5, 2, &c}, {5, 2, &a}});
+}
+
+TEST(Composite, OnePixelWideSurfacesAtBothEdges) {
+  const PixelBuffer bg = drawn(kW, kH, 1);
+  const PixelBuffer left = drawn(1, kH, 2);
+  const PixelBuffer right = drawn(1, kH - 3, 3);
+  const PixelBuffer left_flat = solid(1, kH, kTeal);
+  const PixelBuffer right_flat = solid(1, 4, kRed);
+  expect_composite(bg, {{0, 0, &left}, {kW - 1, 2, &right}});
+  expect_composite(bg, {{0, 0, &left_flat}, {kW - 1, 3, &right_flat}});
+  // One pixel on screen at each edge of a wider, off-screen surface.
+  const PixelBuffer wide = drawn(9, 3, 4);
+  expect_composite(bg, {{-8, 1, &wide}, {kW - 1, 6, &wide}});
+}
+
+TEST(Composite, SurfacesSharingAnEdge) {
+  const PixelBuffer bg = solid(kW, kH, kTeal);
+  const PixelBuffer a = drawn(8, 5, 1);
+  const PixelBuffer b = drawn(8, 5, 2);
+  const PixelBuffer red = solid(8, 5, kRed);
+  const PixelBuffer red2 = solid(8, 5, kRed);
+  // Side by side, one above the other, and at a shared corner.
+  expect_composite(bg, {{0, 0, &a}, {8, 0, &b}, {16, 0, &red}});
+  expect_composite(bg, {{3, 0, &a}, {3, 5, &b}});
+  expect_composite(bg, {{4, 0, &a}, {12, 5, &b}, {12, 0, &red}});
+  // Equal solid colours meeting at an edge read as one run.
+  expect_composite(bg, {{2, 1, &red}, {10, 1, &red2}, {2, 6, &red2}});
+  // One drawn buffer twice side by side: neighbouring copies from one
+  // buffer that do not continue each other.
+  expect_composite(bg, {{0, 2, &a}, {8, 2, &a}});
+}
+
+TEST(Composite, DrawnBackgroundUnderSolidSurfaces) {
+  const PixelBuffer bg = drawn(kW, kH, 1);
+  const PixelBuffer a = solid(7, 4, kRed);
+  const PixelBuffer b = solid(5, 6, 0);
+  const PixelBuffer c = solid(30, 2, 0xFFFFFFFFu);
+  expect_composite(bg, {});
+  expect_composite(bg, {{2, 1, &a}, {6, 3, &b}, {-3, 8, &c}});
+}
+
+// The writer joins equal-colour runs across window and row ends; long enough
+// screens take the chunked fill for colours that are not byte-uniform.
+TEST(Composite, EqualColourRunsMeetAcrossRowEnds) {
+  for (const std::uint32_t colour : {0u, kTeal, 0x80808080u}) {
+    SCOPED_TRACE(colour);
+    const PixelBuffer bg = solid(100, 60, colour);
+    const PixelBuffer right = solid(7, 60, colour);
+    const PixelBuffer left = solid(5, 40, colour);
+    const PixelBuffer other = solid(10, 10, kRed);
+    const PixelBuffer mid = drawn(6, 20, 2);
+    const PixelBuffer edge = drawn(3, 8, 3);
+    // Nothing but one colour under and in every window.
+    expect_composite(bg, {{93, 0, &right}, {0, 10, &left}});
+    // A drawn run between the equal runs, and a drawn run at a row end.
+    expect_composite(bg, {{93, 0, &right}, {0, 10, &left}, {40, 5, &mid}});
+    expect_composite(bg, {{93, 0, &right}, {97, 30, &edge}, {0, 20, &other}});
+    // One row of another colour between runs of the screen colour.
+    const PixelBuffer stripe = solid(100, 1, kRed);
+    expect_composite(bg, {{0, 30, &stripe}});
+  }
+}
+
+TEST(Composite, StackOfSixteenSurfaces) {
+  for (const std::uint64_t seed : {3u, 11u, 2024u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const PixelBuffer bg =
+        rng.chance(0.5) ? drawn(64, 48, 1) : solid(64, 48, kTeal);
+    std::vector<PixelBuffer> bufs;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      const int w = static_cast<int>(rng.uniform(1, 40));
+      const int h = static_cast<int>(rng.uniform(1, 30));
+      bufs.push_back(rng.chance(0.5) ? drawn(w, h, i + 2)
+                                     : solid(w, h, rng.chance(0.3) ? kRed : i));
+    }
+    std::vector<Layer> layers;
+    for (const PixelBuffer& buf : bufs) {
+      layers.push_back({static_cast<int>(rng.uniform(-20, 70)),
+                        static_cast<int>(rng.uniform(-15, 50)), &buf});
+    }
+    expect_composite(bg, layers);
+  }
+}
+
 // --- seeded scenes --------------------------------------------------------------
 
 constexpr int kScreenW = 256;
@@ -105,7 +273,7 @@ display::Rect random_rect(util::Rng& rng) {
 
 class Scene {
  public:
-  Scene(DisplayBackendKind backend, std::uint64_t seed)
+  Scene(DisplayBackendKind backend, std::uint64_t seed, int windows)
       : sys_(config(backend)), rng_(seed) {
     if (backend == DisplayBackendKind::kX11) {
       x_ = &sys_.xserver();
@@ -113,7 +281,7 @@ class Scene {
     } else {
       wl_ = &sys_.compositor();
     }
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < windows; ++i) {
       const std::string name = "app" + std::to_string(i);
       const display::Rect r = random_rect(rng_);
       apps_.push_back(
@@ -347,14 +515,18 @@ class LazyPixels
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, DisplayBackendKind>> {};
 
+// Each seed and backend replays a 5-window scene and a 16-window one.
 TEST_P(LazyPixels, EveryReadPathMatchesTheEagerModel) {
   const auto [seed, backend] = GetParam();
-  Scene scene(backend, seed);
-  scene.check_reads();
-  for (int step = 0; step < 60; ++step) {
-    scene.step();
+  for (const int windows : {5, 16}) {
+    SCOPED_TRACE(std::to_string(windows) + " windows");
+    Scene scene(backend, seed, windows);
     scene.check_reads();
-    if (HasFailure()) FAIL() << "diverged at step " << step;
+    for (int step = 0; step < 60; ++step) {
+      scene.step();
+      scene.check_reads();
+      if (HasFailure()) FAIL() << "diverged at step " << step;
+    }
   }
 }
 
