@@ -1,11 +1,11 @@
 // Binary-vs-text audit append microbenchmark (DESIGN.md §16).
 //
-// Replays the same decision stream into the old text `util::AuditLog` (an
-// AuditRecord with two heap std::strings per append, the path every mediated
-// decision used to pay) and into the binary `audit::Sink` (two warm intern
-// lookups + one 64-byte ring store). Both rings run full — the fleet's
-// steady state — so the text path pays its per-append allocate/free churn
-// and the binary path its masked overwrite.
+// Replays the same decision stream into a text log (a deque of AuditRecords
+// with two heap std::strings per append, the path every mediated decision
+// paid before the binary ring) and into the binary `audit::Sink` (two warm
+// intern lookups + one 64-byte ring store). Both rings run full — the
+// fleet's steady state — so the text path pays its per-append
+// allocate/free churn and the binary path its masked overwrite.
 //
 // The gate is the ratio: binary append must be >= 3x faster than the text
 // path (enforced in optimized builds; advisory otherwise). Absolute ns/op
@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <string_view>
 
@@ -49,6 +50,23 @@ constexpr std::string_view kDetails[] = {
     "screen:root-window:1920x1080+0+0",
 };
 
+// The text log's append: push the record, evict the oldest past capacity.
+struct TextLog {
+  std::deque<util::AuditRecord> records;
+  std::size_t capacity = 0;
+  std::uint64_t total_appended = 0;
+  std::uint64_t dropped = 0;
+
+  void append(util::AuditRecord record) {
+    ++total_appended;
+    records.push_back(std::move(record));
+    while (records.size() > capacity) {
+      records.pop_front();
+      ++dropped;
+    }
+  }
+};
+
 double time_seconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -66,7 +84,7 @@ double best_ns_per_op(int ops, const std::function<void()>& fn) {
 
 // The text path exactly as PermissionMonitor::check used to build it: a
 // fresh AuditRecord whose comm/detail are copied into heap strings.
-double run_text(util::AuditLog* log) {
+double run_text(TextLog* log) {
   return best_ns_per_op(g_append_iters, [&] {
     for (int i = 0; i < g_append_iters; ++i) {
       util::AuditRecord rec;
@@ -107,12 +125,12 @@ int main(int argc, char** argv) {
     std::printf("(--quick: iteration counts divided by 20, 3 repetitions)\n");
   }
 
-  std::printf("Audit append: text AuditLog vs binary ring (best of %d reps, "
+  std::printf("Audit append: text log vs binary ring (best of %d reps, "
               "ring capacity %zu)\n\n",
               g_reps, kRingCapacity);
 
-  util::AuditLog text_log;
-  text_log.set_capacity(kRingCapacity);
+  TextLog text_log;
+  text_log.capacity = kRingCapacity;
   const double text_ns = run_text(&text_log);
 
   audit::Sink sink(kRingCapacity);
@@ -150,12 +168,12 @@ int main(int argc, char** argv) {
   // Sanity in every build: both sides saw the same stream and the ring
   // obeyed its bound.
   if (sink.size() != kRingCapacity ||
-      sink.total_appended() != text_log.total_appended()) {
+      sink.total_appended() != text_log.total_appended) {
     std::fprintf(stderr,
                  "bench_audit: GATE FAILED — stream mismatch (binary saw "
                  "%llu appends, text %llu)\n",
                  static_cast<unsigned long long>(sink.total_appended()),
-                 static_cast<unsigned long long>(text_log.total_appended()));
+                 static_cast<unsigned long long>(text_log.total_appended));
     return 1;
   }
 #ifdef NDEBUG

@@ -59,7 +59,7 @@ int main() {
                 alert.text.c_str());
   }
   // What the most recent one looks like on screen (Fig. 5 style):
-  std::printf("\n%s", x11::AlertOverlay::render_banner(
+  std::printf("\n%s", display::AlertOverlay::render_banner(
                           sys.xserver().alerts().history().back())
                           .c_str());
 

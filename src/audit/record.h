@@ -12,7 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <type_traits>
+
+#include "util/audit_log.h"
 
 namespace overhaul::audit {
 
@@ -46,5 +50,20 @@ static_assert(std::is_trivially_copyable_v<BinRecord>,
               "BinRecord is memcpy'd into snapshots");
 static_assert(std::is_standard_layout_v<BinRecord>,
               "BinRecord layout is part of the snapshot wire format");
+
+// The decoded record, given the two strings its ids resolve to in the intern
+// table that issued them. Sink::decode and Reader::decode both build it here.
+inline util::AuditRecord decode(const BinRecord& rec, std::string_view comm,
+                                std::string_view detail) {
+  util::AuditRecord out;
+  out.time_ns = rec.time_ns;
+  out.pid = rec.pid;
+  out.comm = std::string(comm);
+  out.op = static_cast<util::Op>(rec.op);
+  out.decision = static_cast<util::Decision>(rec.decision);
+  out.interaction_age_ns = rec.interaction_age_ns;
+  out.detail = std::string(detail);
+  return out;
+}
 
 }  // namespace overhaul::audit

@@ -8,8 +8,7 @@ void Ring::append_slow(const BinRecord& rec) {
   ++total_appended_;
   if (capacity_ == 0) {
     // Zero-capacity ring: every append is counted and dropped. No storage is
-    // touched, so there is no churn and no unbounded growth (the edge the
-    // text log's push-then-trim loop used to hit).
+    // touched, so there is no churn and no unbounded growth.
     ++dropped_;
     return;
   }

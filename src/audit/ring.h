@@ -1,14 +1,13 @@
 // Power-of-two bounded binary decision ring — one per fleet shard
 // (DESIGN.md §16).
 //
-// Same observable semantics as the text `util::AuditLog` it replaces on the
-// hot path: bounded like a rotated syslog (oldest record dropped per append
-// once full), with `total_appended`/`dropped` lifetime totals unaffected by
-// eviction. Unlike the deque-of-strings log, a full ring appends with a
-// single 64-byte struct store and a head-mask increment — no allocation, no
-// pointer chasing — which is what `bench_audit` gates at ≥3× over the text
-// path. Not thread-safe by itself: one ring is owned per shard, and the R8
-// lint holds every mutation inside the declared accessor surface below.
+// Bounded like a rotated syslog (oldest record dropped per append once
+// full), with `total_appended`/`dropped` lifetime totals unaffected by
+// eviction. A full ring appends with a single 64-byte struct store and a
+// head-mask increment — no allocation, no pointer chasing — which is what
+// `bench_audit` gates at ≥3× over a deque of heap-string records. Not
+// thread-safe by itself: one ring is owned per shard, and the R8 lint holds
+// every mutation inside the declared accessor surface below.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +21,10 @@ namespace overhaul::audit {
 
 class Ring {
  public:
-  // 1M records ≈ 64 MiB when full — comfortably the §V-D 21-day stream, same
-  // default as the text log. Storage grows geometrically toward the cap as
-  // records arrive (an idle shard's ring costs nothing), so a 1024-seat
-  // fleet does not eagerly reserve 64 GiB.
+  // 1M records ≈ 64 MiB when full — comfortably the §V-D 21-day stream.
+  // Storage grows geometrically toward the cap as records arrive (an idle
+  // shard's ring costs nothing), so a 1024-seat fleet does not eagerly
+  // reserve 64 GiB.
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   // Capacity is rounded up to a power of two (0 stays 0: every append is
@@ -44,8 +43,8 @@ class Ring {
 
   // Steady state — ring full — stays inline: a 64-byte store and a masked
   // increment, zero allocations. This is the path bench_audit gates ≥3×
-  // over the text log. Filling / zero-capacity fall through to the cold
-  // out-of-line path.
+  // over a deque of text records. Filling / zero-capacity fall through to
+  // the cold out-of-line path.
   void append(const BinRecord& rec) {
     if (buf_.size() == capacity_ && capacity_ != 0) {
       ++total_appended_;
@@ -58,7 +57,7 @@ class Ring {
   }
   void clear();
   // Shrinking below the current size evicts oldest records immediately
-  // (counted in dropped(), like the text log). Rounds up to a power of two.
+  // (counted in dropped()). Rounds up to a power of two.
   void set_capacity(std::size_t cap);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -95,9 +94,8 @@ class Ring {
   void append_slow(const BinRecord& rec);
 
   // The per-shard decision ring the parallel engine's monitors append into —
-  // every mutation stays behind the three members that maintain the ring
-  // invariant (size ≤ capacity, totals monotone), mirroring the text log's
-  // contract so the facade swap cannot change sharing semantics.
+  // every mutation stays behind the members that maintain the ring
+  // invariant (size ≤ capacity, totals monotone).
   OVERHAUL_SHARED(append|append_slow|clear|set_capacity)
   std::vector<BinRecord> buf_;
   OVERHAUL_SHARED(append|append_slow|clear|set_capacity) std::size_t head_ = 0;

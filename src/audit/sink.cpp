@@ -25,15 +25,8 @@ std::size_t Sink::count(util::Op op,
 
 util::AuditRecord Sink::decode(std::size_t i) const {
   const BinRecord& r = ring_.at(i);
-  util::AuditRecord out;
-  out.time_ns = r.time_ns;
-  out.pid = r.pid;
-  out.comm = std::string(ring_.string_at(r.comm_id));
-  out.op = static_cast<util::Op>(r.op);
-  out.decision = static_cast<util::Decision>(r.decision);
-  out.interaction_age_ns = r.interaction_age_ns;
-  out.detail = std::string(ring_.string_at(r.detail_id));
-  return out;
+  return audit::decode(r, ring_.string_at(r.comm_id),
+                       ring_.string_at(r.detail_id));
 }
 
 std::vector<util::AuditRecord> Sink::records() const {
@@ -43,19 +36,9 @@ std::vector<util::AuditRecord> Sink::records() const {
   return out;
 }
 
-std::vector<util::AuditRecord> Sink::filter(
-    const std::function<bool(const util::AuditRecord&)>& pred) const {
-  std::vector<util::AuditRecord> out;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    util::AuditRecord rec = decode(i);
-    if (pred(rec)) out.push_back(std::move(rec));
-  }
-  return out;
-}
-
 std::size_t Sink::text_equiv_bytes() const noexcept {
-  // What the same live records would occupy as text-log entries: the record
-  // struct itself plus its two heap strings' payloads.
+  // What the same live records would occupy decoded: the record struct
+  // itself plus its two heap strings' payloads.
   std::size_t bytes = 0;
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     const BinRecord& r = ring_.at(i);

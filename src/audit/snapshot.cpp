@@ -121,6 +121,12 @@ bool Reader::load(const std::uint8_t* data, std::size_t size,
   if (header.record_count > avail / kBinRecordSize ||
       header.string_bytes > avail)
     return fail(error, "header counts exceed payload size");
+  // Every string costs at least its 4-byte length prefix, so the count is
+  // bounded by the section's size before it sizes any allocation.
+  if (header.string_count > header.string_bytes / sizeof(std::uint32_t))
+    return fail(error, "string count " + std::to_string(header.string_count) +
+                           " exceeds string section of " +
+                           std::to_string(header.string_bytes) + " bytes");
   const std::uint64_t payload_size =
       header.string_bytes + header.record_count * kBinRecordSize;
   if (static_cast<std::uint64_t>(end - cur) != payload_size)
@@ -191,24 +197,8 @@ std::size_t Reader::count(util::Op op,
       }));
 }
 
-std::vector<BinRecord> Reader::filter(
-    const std::function<bool(const BinRecord&)>& pred) const {
-  std::vector<BinRecord> out;
-  std::copy_if(records_.begin(), records_.end(), std::back_inserter(out),
-               pred);
-  return out;
-}
-
 util::AuditRecord Reader::decode(const BinRecord& rec) const {
-  util::AuditRecord out;
-  out.time_ns = rec.time_ns;
-  out.pid = rec.pid;
-  out.comm = std::string(string_at(rec.comm_id));
-  out.op = static_cast<util::Op>(rec.op);
-  out.decision = static_cast<util::Decision>(rec.decision);
-  out.interaction_age_ns = rec.interaction_age_ns;
-  out.detail = std::string(string_at(rec.detail_id));
-  return out;
+  return audit::decode(rec, string_at(rec.comm_id), string_at(rec.detail_id));
 }
 
 }  // namespace overhaul::audit

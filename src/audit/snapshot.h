@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,8 +62,9 @@ bool write_snapshot_file(const Ring& ring, const std::string& path,
 
 // Validating decoder over a snapshot byte stream. load() rejects (returns
 // false, fills *error) short headers, bad magic/version/record size,
-// truncated payloads, CRC mismatches, and records whose string ids fall
-// outside the decoded table — after a successful load every query is safe.
+// truncated payloads, CRC mismatches, string counts the string section
+// cannot hold, and records whose string ids fall outside the decoded table
+// — after a successful load every query is safe.
 class Reader {
  public:
   bool load(const std::uint8_t* data, std::size_t size, std::string* error);
@@ -86,21 +86,14 @@ class Reader {
   }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  // Query helpers mirroring util::AuditLog, over decoded records.
+  // The same counts audit::Sink answers, over the loaded records.
   [[nodiscard]] std::size_t count(util::Decision decision) const noexcept;
   [[nodiscard]] std::size_t count(util::Op op,
                                   util::Decision decision) const noexcept;
-  [[nodiscard]] std::vector<BinRecord> filter(
-      const std::function<bool(const BinRecord&)>& pred) const;
 
-  // Rehydrates the text-log record (strings resolved from the snapshot's
-  // intern table).
+  // Decodes a record, its strings resolved from the snapshot's intern table;
+  // util::format_record renders it exactly as it rendered live.
   [[nodiscard]] util::AuditRecord decode(const BinRecord& rec) const;
-  // Renders a record exactly as util::AuditLog::format does — byte-identical
-  // by construction (it *is* that function, fed the decoded record).
-  [[nodiscard]] std::string format(const BinRecord& rec) const {
-    return util::AuditLog::format(decode(rec));
-  }
 
  private:
   std::vector<BinRecord> records_;

@@ -26,7 +26,6 @@
 #include "sim/clock.h"
 #include "sim/scheduler.h"
 #include "wl/compositor.h"
-#include "x11/input.h"
 #include "x11/server.h"
 
 namespace overhaul::core {

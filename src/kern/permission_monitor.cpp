@@ -155,8 +155,7 @@ Decision PermissionMonitor::check(Pid pid, Op op, sim::Timestamp op_time,
 
   if (audit_enabled_) {
     // Binary append: two intern lookups and one 64-byte ring store — zero
-    // allocations steady-state (DESIGN.md §16), unlike the old text record
-    // which copied comm + detail into heap strings per decision.
+    // allocations steady-state (DESIGN.md §16).
     audit_.append_decision(
         op_time.ns, pid,
         task != nullptr ? std::string_view(task->comm) : std::string_view("?"),

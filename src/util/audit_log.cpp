@@ -1,6 +1,5 @@
 #include "util/audit_log.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace overhaul::util {
@@ -17,37 +16,24 @@ std::string_view op_name(Op op) noexcept {
   return "?";
 }
 
-std::size_t AuditLog::count(Decision decision) const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(),
-                    [&](const AuditRecord& r) { return r.decision == decision; }));
-}
-
-std::size_t AuditLog::count(Op op, Decision decision) const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      records_.begin(), records_.end(), [&](const AuditRecord& r) {
-        return r.op == op && r.decision == decision;
-      }));
-}
-
-std::vector<AuditRecord> AuditLog::filter(
-    const std::function<bool(const AuditRecord&)>& pred) const {
-  std::vector<AuditRecord> out;
-  std::copy_if(records_.begin(), records_.end(), std::back_inserter(out), pred);
-  return out;
-}
-
-std::string AuditLog::format(const AuditRecord& record) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "[%12.6fs] pid=%-6d %-12s op=%-5s %-5s age=%.3fs %s",
-                static_cast<double>(record.time_ns) / 1e9, record.pid,
-                record.comm.c_str(), std::string(op_name(record.op)).c_str(),
-                record.decision == Decision::kGrant ? "GRANT" : "DENY",
-                record.interaction_age_ns < 0
-                    ? -1.0
-                    : static_cast<double>(record.interaction_age_ns) / 1e9,
-                record.detail.c_str());
-  return buf;
+std::string format_record(const AuditRecord& record) {
+  const std::string op(op_name(record.op));
+  const auto render = [&](char* buf, std::size_t size) {
+    return std::snprintf(
+        buf, size, "[%12.6fs] pid=%-6d %-12s op=%-5s %-5s age=%.3fs %s",
+        static_cast<double>(record.time_ns) / 1e9, record.pid,
+        record.comm.c_str(), op.c_str(),
+        record.decision == Decision::kGrant ? "GRANT" : "DENY",
+        record.interaction_age_ns < 0
+            ? -1.0
+            : static_cast<double>(record.interaction_age_ns) / 1e9,
+        record.detail.c_str());
+  };
+  // First pass measures, second writes; snprintf's terminating NUL lands on
+  // the string's own terminator.
+  std::string line(static_cast<std::size_t>(render(nullptr, 0)), '\0');
+  render(line.data(), line.size() + 1);
+  return line;
 }
 
 }  // namespace overhaul::util

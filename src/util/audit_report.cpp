@@ -69,10 +69,7 @@ std::string AuditReport::to_string() const {
   return out;
 }
 
-namespace {
-
-template <typename Records>
-AuditReport build_report_impl(const Records& records) {
+AuditReport build_report(const std::vector<AuditRecord>& records) {
   std::map<std::string, AppUsage> by_comm;
   for (const auto& rec : records) {
     AppUsage& usage = by_comm[rec.comm];
@@ -90,16 +87,6 @@ AuditReport build_report_impl(const Records& records) {
     report.apps.push_back(std::move(usage));
   }
   return report;  // std::map iteration already sorted by comm
-}
-
-}  // namespace
-
-AuditReport build_report(const std::vector<AuditRecord>& records) {
-  return build_report_impl(records);
-}
-
-AuditReport build_report(const AuditLog& log) {
-  return build_report_impl(log.records());
 }
 
 }  // namespace overhaul::util

@@ -40,11 +40,7 @@ struct AuditReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-// Build the report from a record stream — works for the text log's deque,
-// the binary facade's decoded vector (audit::Sink::records()), and decoded
-// snapshot streams alike.
+// Build the report from decoded records (audit::Sink::records()).
 AuditReport build_report(const std::vector<AuditRecord>& records);
-// Build the report from a text log.
-AuditReport build_report(const AuditLog& log);
 
 }  // namespace overhaul::util

@@ -26,10 +26,10 @@
 #include <string_view>
 
 #include "core/display_backend.h"
+#include "display/alert.h"
 #include "kern/kernel.h"
 #include "util/annotations.h"
 #include "x11/acg.h"
-#include "x11/alert.h"
 #include "x11/client.h"
 #include "x11/prompt.h"
 #include "x11/screen.h"
@@ -179,7 +179,7 @@ class XServer final : public core::DisplayBackend {
   // --- sub-managers -------------------------------------------------------------------
   [[nodiscard]] SelectionManager& selections() noexcept { return selections_; }
   [[nodiscard]] ScreenResources& screen() noexcept { return screen_; }
-  [[nodiscard]] AlertOverlay& alerts() noexcept { return alerts_; }
+  [[nodiscard]] display::AlertOverlay& alerts() noexcept { return alerts_; }
   [[nodiscard]] PromptManager& prompts() noexcept { return prompts_; }
   [[nodiscard]] AcgManager& acg() noexcept { return acg_; }
   [[nodiscard]] AtomRegistry& atoms() noexcept { return atoms_; }
@@ -244,7 +244,7 @@ class XServer final : public core::DisplayBackend {
   OVERHAUL_SHARD_LOCAL std::map<std::pair<ClientId, WindowId>, std::uint32_t>
       event_masks_;
 
-  OVERHAUL_SHARD_LOCAL AlertOverlay alerts_;
+  OVERHAUL_SHARD_LOCAL display::AlertOverlay alerts_;
   OVERHAUL_SHARD_LOCAL SelectionManager selections_;
   OVERHAUL_SHARD_LOCAL ScreenResources screen_;
   OVERHAUL_SHARD_LOCAL PromptManager prompts_{*this};

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -64,7 +65,8 @@ TEST(Snapshot, RoundTripPropertyRandomStreams) {
                 0)
           << "seed " << seed << " record " << i;
       // ...and identical string resolution + rendered line.
-      EXPECT_EQ(reader.format(reader.records()[i]), sink.format_at(i))
+      EXPECT_EQ(util::format_record(reader.decode(reader.records()[i])),
+                util::format_record(sink.decode(i)))
           << "seed " << seed << " record " << i;
     }
   }
@@ -106,10 +108,13 @@ TEST(Snapshot, CountsMatchSink) {
             sink.count(util::Decision::kDeny));
   EXPECT_EQ(reader.count(util::Op::kMicrophone, util::Decision::kDeny),
             sink.count(util::Op::kMicrophone, util::Decision::kDeny));
-  const auto denials = reader.filter([](const BinRecord& r) {
-    return r.decision == static_cast<std::uint8_t>(util::Decision::kDeny);
-  });
-  EXPECT_EQ(denials.size(), reader.count(util::Decision::kDeny));
+  const auto denials = std::count_if(
+      reader.records().begin(), reader.records().end(),
+      [](const BinRecord& r) {
+        return r.decision == static_cast<std::uint8_t>(util::Decision::kDeny);
+      });
+  EXPECT_EQ(static_cast<std::size_t>(denials),
+            reader.count(util::Decision::kDeny));
 }
 
 // --- corrupt-stream rejection ----------------------------------------------
@@ -194,6 +199,21 @@ TEST(SnapshotReject, HugeRecordCountDoesNotOverflow) {
   Reader reader;
   std::string error;
   EXPECT_FALSE(reader.load(bytes, &error));
+}
+
+TEST(SnapshotReject, StringCountExceedsStringBytes) {
+  // A bare header claiming 2^32-1 strings in an empty string section. The
+  // empty payload's CRC is 0, so the header verifies; every string costs at
+  // least its 4-byte length prefix, so the count must be refused before it
+  // sizes the string table.
+  SnapshotHeader header;
+  header.string_count = 0xFFFFFFFFu;
+  std::uint8_t bytes[sizeof(header)];
+  std::memcpy(bytes, &header, sizeof(header));
+  Reader reader;
+  std::string error;
+  EXPECT_FALSE(reader.load(bytes, sizeof(bytes), &error));
+  EXPECT_NE(error.find("string count"), std::string::npos) << error;
 }
 
 TEST(SnapshotReject, OutOfRangeStringId) {

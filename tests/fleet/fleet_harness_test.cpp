@@ -310,11 +310,7 @@ TEST(FleetIsolation, GrantInShardANeverAppearsInShardB) {
   EXPECT_EQ(audit_a.count(Decision::kGrant), 1u);
   ASSERT_EQ(audit_b.size(), 1u);
   EXPECT_EQ(audit_b.count(Decision::kGrant), 0u);
-  EXPECT_TRUE(audit_b
-                  .filter([](const util::AuditRecord& r) {
-                    return r.detail == "isolation-grant-A";
-                  })
-                  .empty());
+  EXPECT_NE(audit_b.decode(0).detail, "isolation-grant-A");
 
   // And the rollup sees both shards' decisions.
   EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), 1u);

@@ -59,7 +59,7 @@ TEST_F(FaultInjectionTest, NewXServerCanReconnectAfterCrash) {
           .is_ok());
   x11::XServer replacement(sys_.kernel(), sys_.config().xserver_config());
   replacement.alerts().set_shared_secret(sys_.config().shared_secret);
-  x11::HardwareInputDriver input(replacement);
+  core::HardwareInputDriver input(replacement);
 
   auto pid = sys_.kernel().sys_spawn(1, "/usr/bin/rec", "rec").value();
   auto client = replacement.connect_client(pid).value();

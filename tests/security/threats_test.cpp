@@ -216,7 +216,7 @@ TEST_F(ThreatMatrix, S4_ClientWindowsCannotCarrySecret) {
   auto attacker = gui("fakealert", {0, 0, 1024, 768});
   (void)attacker;
   EXPECT_EQ(sys_.xserver().alerts().active(sys_.clock().now()).size(), 1u);
-  x11::Alert forged;
+  display::Alert forged;
   forged.text = "spyd is recording from the microphone";
   EXPECT_FALSE(sys_.xserver().alerts().is_authentic(forged));
 }

@@ -17,117 +17,9 @@ AuditRecord make(Op op, Decision d, int pid = 100) {
   return r;
 }
 
-TEST(AuditLog, AppendAndSize) {
-  AuditLog log;
-  EXPECT_EQ(log.size(), 0u);
-  log.append(make(Op::kMicrophone, Decision::kGrant));
-  log.append(make(Op::kCamera, Decision::kDeny));
-  EXPECT_EQ(log.size(), 2u);
-}
-
-TEST(AuditLog, CountByDecision) {
-  AuditLog log;
-  log.append(make(Op::kMicrophone, Decision::kGrant));
-  log.append(make(Op::kCamera, Decision::kDeny));
-  log.append(make(Op::kCamera, Decision::kDeny));
-  EXPECT_EQ(log.count(Decision::kGrant), 1u);
-  EXPECT_EQ(log.count(Decision::kDeny), 2u);
-}
-
-TEST(AuditLog, CountByOpAndDecision) {
-  AuditLog log;
-  log.append(make(Op::kPaste, Decision::kGrant));
-  log.append(make(Op::kPaste, Decision::kDeny));
-  log.append(make(Op::kCopy, Decision::kGrant));
-  EXPECT_EQ(log.count(Op::kPaste, Decision::kGrant), 1u);
-  EXPECT_EQ(log.count(Op::kPaste, Decision::kDeny), 1u);
-  EXPECT_EQ(log.count(Op::kCopy, Decision::kDeny), 0u);
-}
-
-TEST(AuditLog, FilterByPredicate) {
-  AuditLog log;
-  log.append(make(Op::kMicrophone, Decision::kGrant, 10));
-  log.append(make(Op::kMicrophone, Decision::kGrant, 20));
-  log.append(make(Op::kCamera, Decision::kDeny, 20));
-  auto hits =
-      log.filter([](const AuditRecord& r) { return r.pid == 20; });
-  EXPECT_EQ(hits.size(), 2u);
-}
-
-TEST(AuditLog, ClearEmpties) {
-  AuditLog log;
-  log.append(make(Op::kScreenCapture, Decision::kGrant));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-}
-
-TEST(AuditLog, RingEvictsOldestPastCapacity) {
-  AuditLog log;
-  EXPECT_EQ(log.capacity(), AuditLog::kDefaultCapacity);
-  log.set_capacity(3);
-  for (int pid = 1; pid <= 5; ++pid)
-    log.append(make(Op::kMicrophone, Decision::kGrant, pid));
-  // Size is bounded; the three newest records survive, oldest first.
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.records().front().pid, 3);
-  EXPECT_EQ(log.records().back().pid, 5);
-  // Lifetime totals keep counting across eviction.
-  EXPECT_EQ(log.total_appended(), 5u);
-  EXPECT_EQ(log.dropped(), 2u);
-}
-
-TEST(AuditLog, ShrinkingCapacityEvictsImmediately) {
-  AuditLog log;
-  for (int pid = 1; pid <= 4; ++pid)
-    log.append(make(Op::kCamera, Decision::kDeny, pid));
-  log.set_capacity(2);
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.records().front().pid, 3);
-  EXPECT_EQ(log.dropped(), 2u);
-  // count() queries operate on the retained window only.
-  EXPECT_EQ(log.count(Decision::kDeny), 2u);
-}
-
-TEST(AuditLog, ZeroCapacityDropsEveryAppendWithoutStoring) {
-  // The set_capacity(0) edge: appends must neither store nor grow the log,
-  // but every one is still counted in the lifetime totals.
-  AuditLog log;
-  log.set_capacity(0);
-  EXPECT_EQ(log.capacity(), 0u);
-  for (int pid = 1; pid <= 50; ++pid)
-    log.append(make(Op::kMicrophone, Decision::kGrant, pid));
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_appended(), 50u);
-  EXPECT_EQ(log.dropped(), 50u);
-  EXPECT_EQ(log.count(Decision::kGrant), 0u);
-}
-
-TEST(AuditLog, ShrinkToZeroEvictsEverythingThenKeepsCounting) {
-  AuditLog log;
-  for (int pid = 1; pid <= 3; ++pid)
-    log.append(make(Op::kCamera, Decision::kDeny, pid));
-  log.set_capacity(0);
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped(), 3u);
-  log.append(make(Op::kCamera, Decision::kDeny, 4));
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_appended(), 4u);
-  EXPECT_EQ(log.dropped(), 4u);
-}
-
-TEST(AuditLog, ClearResetsLifetimeTotals) {
-  AuditLog log;
-  log.set_capacity(1);
-  log.append(make(Op::kCopy, Decision::kGrant));
-  log.append(make(Op::kCopy, Decision::kGrant));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_appended(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-}
-
 TEST(AuditLog, FormatContainsKeyFields) {
-  const std::string line = AuditLog::format(make(Op::kMicrophone, Decision::kDeny));
+  const std::string line =
+      format_record(make(Op::kMicrophone, Decision::kDeny));
   EXPECT_NE(line.find("pid=100"), std::string::npos);
   EXPECT_NE(line.find("mic"), std::string::npos);
   EXPECT_NE(line.find("DENY"), std::string::npos);
@@ -137,7 +29,7 @@ TEST(AuditLog, FormatContainsKeyFields) {
 TEST(AuditLog, FormatNeverInteracted) {
   AuditRecord r = make(Op::kCamera, Decision::kDeny);
   r.interaction_age_ns = -1;
-  const std::string line = AuditLog::format(r);
+  const std::string line = format_record(r);
   EXPECT_NE(line.find("age=-1.000"), std::string::npos);
 }
 

@@ -1,5 +1,5 @@
 // Trusted output path tests (§IV-A "Trusted output", Fig. 5).
-#include "x11/alert.h"
+#include "display/alert.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ using util::Op;
 
 TEST(AlertOverlay, ShowsAndExpires) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
+  display::AlertOverlay overlay(clock);
   overlay.set_shared_secret("cat");
   overlay.set_display_duration(sim::Duration::seconds(4));
   overlay.show(42, "spyd", Op::kCamera, Decision::kDeny);
@@ -29,12 +29,13 @@ TEST(AlertOverlay, ShowsAndExpires) {
 
 TEST(AlertOverlay, TextNamesProcessAndResource) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
-  const Alert& denied = overlay.show(1, "spyd", Op::kCamera, Decision::kDeny);
+  display::AlertOverlay overlay(clock);
+  const display::Alert& denied =
+      overlay.show(1, "spyd", Op::kCamera, Decision::kDeny);
   EXPECT_NE(denied.text.find("spyd"), std::string::npos);
   EXPECT_NE(denied.text.find("camera"), std::string::npos);
   EXPECT_NE(denied.text.find("Blocked"), std::string::npos);
-  const Alert& granted =
+  const display::Alert& granted =
       overlay.show(2, "skype", Op::kMicrophone, Decision::kGrant);
   EXPECT_EQ(granted.text.find("Blocked"), std::string::npos);
   EXPECT_NE(granted.text.find("microphone"), std::string::npos);
@@ -42,13 +43,14 @@ TEST(AlertOverlay, TextNamesProcessAndResource) {
 
 TEST(AlertOverlay, AuthenticityRequiresSecret) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
+  display::AlertOverlay overlay(clock);
   overlay.set_shared_secret("visual-secret:tabby-cat");
-  const Alert& real = overlay.show(1, "app", Op::kMicrophone, Decision::kGrant);
+  const display::Alert& real =
+      overlay.show(1, "app", Op::kMicrophone, Decision::kGrant);
   EXPECT_TRUE(overlay.is_authentic(real));
 
   // A forged alert (painted by a client window) has no secret.
-  Alert forged;
+  display::Alert forged;
   forged.text = "app is recording from the microphone";
   forged.secret = "";  // attacker cannot know the secret
   EXPECT_FALSE(overlay.is_authentic(forged));
@@ -58,11 +60,11 @@ TEST(AlertOverlay, AuthenticityRequiresSecret) {
 
 TEST(AlertOverlay, BannerRendersSecretAndMessage) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
+  display::AlertOverlay overlay(clock);
   overlay.set_shared_secret("visual-secret:tabby-cat");
-  const Alert& alert =
+  const display::Alert& alert =
       overlay.show(7, "skype", Op::kMicrophone, Decision::kGrant);
-  const std::string banner = AlertOverlay::render_banner(alert);
+  const std::string banner = display::AlertOverlay::render_banner(alert);
   EXPECT_NE(banner.find("visual-secret:tabby-cat"), std::string::npos);
   EXPECT_NE(banner.find("skype is recording"), std::string::npos);
   // Three lines: top border, body, bottom border.
@@ -71,16 +73,18 @@ TEST(AlertOverlay, BannerRendersSecretAndMessage) {
 
 TEST(AlertOverlay, BannerFlagsMissingSecret) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
-  const Alert& alert = overlay.show(7, "x", Op::kCamera, Decision::kDeny);
-  EXPECT_NE(AlertOverlay::render_banner(alert).find("(no secret!)"),
+  display::AlertOverlay overlay(clock);
+  const display::Alert& alert =
+      overlay.show(7, "x", Op::kCamera, Decision::kDeny);
+  EXPECT_NE(display::AlertOverlay::render_banner(alert).find("(no secret!)"),
             std::string::npos);
 }
 
 TEST(AlertOverlay, NoSecretConfiguredMeansNothingAuthentic) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
-  const Alert& a = overlay.show(1, "app", Op::kCamera, Decision::kGrant);
+  display::AlertOverlay overlay(clock);
+  const display::Alert& a =
+      overlay.show(1, "app", Op::kCamera, Decision::kGrant);
   EXPECT_FALSE(overlay.is_authentic(a));
 }
 
@@ -89,8 +93,8 @@ TEST(AlertOverlay, NoSecretConfiguredMeansNothingAuthentic) {
 // clear_history().
 TEST(AlertOverlay, HistoryIsABoundedRing) {
   sim::Clock clock;
-  AlertOverlay overlay(clock);
-  const std::size_t cap = AlertOverlay::kHistoryCapacity;
+  display::AlertOverlay overlay(clock);
+  const std::size_t cap = display::AlertOverlay::kHistoryCapacity;
   for (std::size_t i = 0; i < cap + 5; ++i)
     overlay.show(static_cast<int>(i), "app", Op::kCamera, Decision::kGrant);
   EXPECT_EQ(overlay.shown_count(), cap + 5);

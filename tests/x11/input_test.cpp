@@ -1,6 +1,6 @@
 // Trusted input path tests (§IV-A): hardware vs SendEvent vs XTEST, and the
 // clickjacking visibility threshold.
-#include "x11/input.h"
+#include "core/display_backend.h"
 
 #include <gtest/gtest.h>
 

@@ -61,40 +61,6 @@ done
 step "ctest (preset: $PRESET)"
 ctest --preset "$PRESET" -j "$JOBS"
 
-# The Wayland-backend battery runs again by name so a regression in the
-# second backend is called out as its own stage even when the full suite
-# above already covered it (and so sanitizer presets gate it explicitly).
-step "ctest -R wl (Wayland backend battery)"
-(cd "$BUILD_DIR" && ctest -R '^wl' --output-on-failure -j "$JOBS")
-
-# Same rationale for the concurrency & determinism battery: the analyzer's
-# dataflow suites plus the whole-tree R8-R10 run gate as a named stage.
-step "ctest lint concurrency battery (R8-R10)"
-(cd "$BUILD_DIR" &&
-  ctest -R '^lint\.(concurrency|DataflowRules|ExtractMembers|ExtractFlow|Explain|Cache)' \
-    --output-on-failure -j "$JOBS")
-
-# And for the domain-aware battery: clock-domain soundness, decision/audit
-# completeness, and barrier discipline (R11-R13) gate as a named stage —
-# the domain-typed taint suites plus the whole-tree lint.domains run.
-step "ctest lint domain battery (R11-R13)"
-(cd "$BUILD_DIR" &&
-  ctest -R '^lint\.(domains|DomainRules|DecisionAudit|BarrierLanes)' \
-    --output-on-failure -j "$JOBS")
-
-# The binary audit pipeline gates as its own stage: ring/intern semantics,
-# snapshot round-trip + corrupt-stream rejection, and the facade's
-# line-for-line equivalence with the text log (incl. the audit_dump CLI run
-# as a subprocess) — DESIGN.md §16.
-step "ctest -R audit (binary audit pipeline battery)"
-(cd "$BUILD_DIR" && ctest -R '^audit\.' --output-on-failure -j "$JOBS")
-
-# The multi-seat fleet battery gates as its own stage: shard lifecycle and
-# isolation plus the cross-shard P2 oracle property test (DESIGN.md §14),
-# and the parallel-vs-serial engine equivalence test (DESIGN.md §15).
-step "ctest -R fleet (multi-seat fleet battery)"
-(cd "$BUILD_DIR" && ctest -R '^fleet' --output-on-failure -j "$JOBS")
-
 # Every build type compiles under -Werror: GCC's -O3 inlining in Release
 # reaches warnings the RelWithDebInfo presets never see. The suite runs in
 # it too, since -O3 inlines and vectorises loops the presets leave alone.

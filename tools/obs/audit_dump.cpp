@@ -2,10 +2,10 @@
 //
 // Reads a snapshot produced by audit::write_snapshot_file (header + string
 // table + 64-byte records, CRC-checked), validates it, and renders each
-// record through util::AuditLog::format — the rendering is byte-identical
-// to the text log's, so the cross-backend differential oracle and the
-// xshard single-kernel oracle can diff audit_dump output exactly as they
-// diff live audit streams.
+// record through util::format_record — the same line a live record renders
+// to, so the cross-backend differential oracle and the xshard single-kernel
+// oracle can diff audit_dump output exactly as they diff live audit
+// streams.
 //
 // Usage:
 //   audit_dump SNAPSHOT            # one formatted line per record
@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
     if (deny_only &&
         rec.decision != static_cast<std::uint8_t>(Decision::kDeny))
       continue;
-    std::printf("%s\n", reader.format(rec).c_str());
+    std::printf("%s\n",
+                overhaul::util::format_record(reader.decode(rec)).c_str());
   }
   return 0;
 }
