@@ -66,7 +66,7 @@ int main() {
     cfg.trace = false;
     core::OverhaulSystem sys(cfg);
     auto app = sys.launch_gui_app("/usr/bin/app", "app").value();
-    const auto& r = sys.xserver().window(app.window)->rect();
+    const auto& r = sys.xserver().surface(app.window)->rect();
     util::Rng rng(1234);
 
     int false_denies = 0;

@@ -46,12 +46,12 @@ PolicyResult run(kern::GrantPolicy policy, std::uint64_t seed) {
 
   // --- over-grant probe ------------------------------------------------------
   auto editor = sys.launch_gui_app("/usr/bin/editor", "editor",
-                                   x11::Rect{0, 0, 400, 300})
+                                   display::Rect{0, 0, 400, 300})
                     .value();
   // The editor is ACG-aware but its gadgets are for the *clipboard*; the
   // unrelated clicks land on the text body.
   (void)sys.xserver().acg().register_gadget(
-      editor.client, editor.window, x11::Rect{0, 0, 30, 20}, util::Op::kCopy);
+      editor.client, editor.window, display::Rect{0, 0, 30, 20}, util::Op::kCopy);
   for (int i = 0; i < kUnrelatedClicks; ++i) {
     sys.input().click(50 + static_cast<int>(rng.next_below(300)),
                       60 + static_cast<int>(rng.next_below(200)));
@@ -70,17 +70,17 @@ PolicyResult run(kern::GrantPolicy policy, std::uint64_t seed) {
     static int n = 0;
     const std::string id = std::to_string(n);
     auto app = sys.launch_gui_app("/usr/bin/a" + id, "a" + id,
-                                  x11::Rect{0, 400, 200, 150})
+                                  display::Rect{0, 400, 200, 150})
                    .value();
     ++n;
     if (registers_gadget) {
       (void)sys.xserver().acg().register_gadget(app.client, app.window,
-                                                x11::Rect{5, 5, 50, 30},
+                                                display::Rect{5, 5, 50, 30},
                                                 util::Op::kMicrophone);
     }
     // The user clicks the record button (which is where a gadget would be).
-    (void)sys.xserver().raise_window(app.client, app.window);
-    const auto& r = sys.xserver().window(app.window)->rect();
+    (void)sys.xserver().raise_surface(app.client, app.window);
+    const auto& r = sys.xserver().surface(app.window)->rect();
     sys.input().click(r.x + 10, r.y + 10);
     auto fd = sys.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                     kern::OpenFlags::kRead);

@@ -46,7 +46,7 @@ Row run(double wait_ms) {
   auto cmap = k.sys_mmap_shared(consumer, seg).value();
   auto* prod_task = k.processes().lookup(gui.pid);
   auto* cons_task = k.processes().lookup(consumer);
-  const auto& rect = sys.xserver().window(gui.window)->rect();
+  const auto& rect = sys.xserver().surface(gui.window)->rect();
 
   util::Rng rng(99);
   int commands = 0, granted = 0;

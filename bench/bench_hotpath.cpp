@@ -8,14 +8,21 @@
 //                      event spacing → ~10 events per crossing)
 //
 // The headline gate is the notify / coalesced-notify ratio: the coalescing
-// stage must make a same-pid notification burst at least ~3× cheaper per
+// stage must make a same-pid notification burst at least 3× cheaper per
 // event than the per-event crossing path. Absolute ns/op are machine-
-// dependent; the ratio is the reproduced quantity.
+// dependent; the ratio is the reproduced quantity, taken as the median over
+// 11 interleaved uncoalesced/coalesced pairs. A full-length run of an
+// optimized, unsanitized build exits 1 below the floor; --quick runs and
+// debug or sanitized builds report the ratio as advisory only, because
+// their timings do not measure the optimized fast path.
+//
+// Usage: bench_hotpath [--quick]   (writes BENCH_hotpath.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,8 +43,17 @@ int g_lookup_iters = 4'000'000;
 int g_check_iters = 2'000'000;
 int g_notify_iters = 1'000'000;
 int g_reps = 5;
+int g_notify_pairs = 11;
 
 volatile std::uint64_t g_sink = 0;
+
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kOptimizedBuild = true;
+#else
+constexpr bool kOptimizedBuild = false;
+#endif
+constexpr double kSpeedupFloor = 3.0;
 
 double time_seconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -121,36 +137,78 @@ double run_check() {
 // cadence). With coalescing off every event is a kernel crossing; with the
 // 10 ms skew window ~10 events collapse into one.
 
-double run_notify(bool coalesce) {
-  sim::Clock clock;
-  kern::KernelConfig cfg;
-  cfg.audit = false;
-  cfg.netlink_coalesce = coalesce;
-  cfg.netlink_coalesce_skew = sim::Duration::millis(10);
-  kern::Kernel kernel(clock, cfg);
-  const kern::Pid xorg =
-      kernel.sys_spawn(1, "/usr/lib/xorg/Xorg", "Xorg").value();
-  auto channel = kernel.netlink().connect(xorg).value();
-  const kern::Pid app = kernel.sys_spawn(1, "/usr/bin/app", "app").value();
-
-  const auto burst = [&] {
-    for (int i = 0; i < g_notify_iters; ++i) {
-      clock.advance(sim::Duration::millis(1));
-      (void)channel->send_interaction({app, clock.now()});
-    }
-  };
-  const double ns = best_ns_per_op(g_notify_iters, burst);
-  // Sanity: the coalescing run actually merged (≥80% of events absorbed).
-  if (coalesce &&
-      channel->stats().interactions_merged * 5 <
-          channel->stats().interactions_sent * 4) {
-    std::fprintf(stderr, "warning: coalescing merged only %llu of %llu events\n",
-                 static_cast<unsigned long long>(
-                     channel->stats().interactions_merged),
-                 static_cast<unsigned long long>(
-                     channel->stats().interactions_sent));
+// One kernel with a display-manager channel and an app to notify for.
+struct NotifyRig {
+  explicit NotifyRig(bool coalesce) : kernel(clock, config(coalesce)) {
+    const kern::Pid xorg =
+        kernel.sys_spawn(1, "/usr/lib/xorg/Xorg", "Xorg").value();
+    channel = kernel.netlink().connect(xorg).value();
+    app = kernel.sys_spawn(1, "/usr/bin/app", "app").value();
   }
-  return ns;
+
+  static kern::KernelConfig config(bool coalesce) {
+    kern::KernelConfig cfg;
+    cfg.audit = false;
+    cfg.netlink_coalesce = coalesce;
+    cfg.netlink_coalesce_skew = sim::Duration::millis(10);
+    return cfg;
+  }
+
+  double burst_ns_per_event() {
+    return time_seconds([&] {
+             for (int i = 0; i < g_notify_iters; ++i) {
+               clock.advance(sim::Duration::millis(1));
+               (void)channel->send_interaction({app, clock.now()});
+             }
+           }) /
+           g_notify_iters * 1e9;
+  }
+
+  sim::Clock clock;
+  kern::Kernel kernel;
+  std::shared_ptr<kern::NetlinkChannel> channel;
+  kern::Pid app = kern::kNoPid;
+};
+
+struct NotifyResult {
+  double notify_ns = 1e99;     // best burst, coalescing off
+  double coalesced_ns = 1e99;  // best burst, coalescing on
+  double speedup = 0;          // median of the per-pair ratios
+  double speedup_min = 0;
+  double speedup_max = 0;
+};
+
+// The gated ratio is the median over interleaved pairs: each pair times a
+// fresh uncoalesced rig, then a fresh coalescing one, back to back, so host
+// drift cancels within the pair and no single allocation layout or host
+// phase decides the verdict.
+NotifyResult run_notify() {
+  NotifyResult r;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < g_notify_pairs; ++pair) {
+    NotifyRig plain(false);
+    NotifyRig merged(true);
+    (void)plain.burst_ns_per_event();  // warmup
+    (void)merged.burst_ns_per_event();
+    const double p = plain.burst_ns_per_event();
+    const double m = merged.burst_ns_per_event();
+    r.notify_ns = std::min(r.notify_ns, p);
+    r.coalesced_ns = std::min(r.coalesced_ns, m);
+    ratios.push_back(p / m);
+    // Sanity: the coalescing run actually merged (≥80% of events absorbed).
+    const auto& st = merged.channel->stats();
+    if (st.interactions_merged * 5 < st.interactions_sent * 4) {
+      std::fprintf(stderr,
+                   "warning: coalescing merged only %llu of %llu events\n",
+                   static_cast<unsigned long long>(st.interactions_merged),
+                   static_cast<unsigned long long>(st.interactions_sent));
+    }
+  }
+  std::sort(ratios.begin(), ratios.end());
+  r.speedup = ratios[ratios.size() / 2];
+  r.speedup_min = ratios.front();
+  r.speedup_max = ratios.back();
+  return r;
 }
 
 }  // namespace
@@ -162,6 +220,7 @@ int main(int argc, char** argv) {
     g_check_iters /= 200;
     g_notify_iters /= 200;
     g_reps = 1;
+    g_notify_pairs = 1;
     std::printf("(--quick: iteration counts divided by 200, 1 repetition — "
                 "pipeline smoke, not a measurement)\n");
   }
@@ -171,9 +230,8 @@ int main(int argc, char** argv) {
   double handle_get_ns = 0;
   const double lookup_ns = run_lookup(&handle_get_ns);
   const double check_ns = run_check();
-  const double notify_ns = run_notify(false);
-  const double coalesced_ns = run_notify(true);
-  const double speedup = coalesced_ns > 0 ? notify_ns / coalesced_ns : 0;
+  const NotifyResult notify = run_notify();
+  const double speedup = notify.speedup;
 
   std::printf("%-18s %10.1f ns/op   (pid -> task, 1023-task slab)\n",
               "lookup", lookup_ns);
@@ -182,10 +240,13 @@ int main(int argc, char** argv) {
   std::printf("%-18s %10.1f ns/op   (grant path, audit/trace off)\n",
               "check", check_ns);
   std::printf("%-18s %10.1f ns/op   (every event crosses)\n",
-              "notify", notify_ns);
+              "notify", notify.notify_ns);
   std::printf("%-18s %10.1f ns/op   (10 ms skew, 1 ms spacing)\n",
-              "coalesced-notify", coalesced_ns);
-  std::printf("\ncoalescing speedup: %.2fx per event (gate: >= 3x)\n", speedup);
+              "coalesced-notify", notify.coalesced_ns);
+  std::printf("\ncoalescing speedup: %.2fx per event, median of %d "
+              "interleaved pairs (%.2f-%.2fx; gate: >= %.0fx)\n",
+              speedup, g_notify_pairs, notify.speedup_min,
+              notify.speedup_max, kSpeedupFloor);
 
   bench::JsonReport report("hotpath");
   report.add_raw("quick", quick ? "true" : "false");
@@ -193,9 +254,26 @@ int main(int argc, char** argv) {
   report.add("lookup_ns_per_op", lookup_ns);
   report.add("handle_get_ns_per_op", handle_get_ns);
   report.add("check_ns_per_op", check_ns);
-  report.add("notify_ns_per_op", notify_ns);
-  report.add("coalesced_notify_ns_per_op", coalesced_ns);
+  report.add("notify_ns_per_op", notify.notify_ns);
+  report.add("coalesced_notify_ns_per_op", notify.coalesced_ns);
+  report.add("notify_pairs", g_notify_pairs);
   report.add("coalesce_speedup", speedup);
+  report.add("coalesce_speedup_min", notify.speedup_min);
+  report.add("coalesce_speedup_max", notify.speedup_max);
   (void)report.write("BENCH_hotpath.json");
+
+  if (quick || !kOptimizedBuild) {
+    std::printf("(%s: speedup gate advisory, not enforced)\n",
+                quick ? "--quick" : "debug or sanitized build");
+    return 0;
+  }
+  if (speedup < kSpeedupFloor) {
+    std::fprintf(stderr,
+                 "bench_hotpath: GATE FAILED — coalesced notify only %.2fx "
+                 "cheaper per event than the per-event crossing (want >= "
+                 "%.0fx)\n",
+                 speedup, kSpeedupFloor);
+    return 1;
+  }
   return 0;
 }

@@ -60,7 +60,7 @@ MachineResult run_machine(bool protected_machine, std::uint64_t seed) {
     if (!s.is_ok()) ++result.legit_denied;
   };
   const auto click = [&](const apps::GuiApp& app) {
-    (void)sys.xserver().raise_window(app.client(), app.window());
+    (void)sys.xserver().raise_surface(app.client(), app.window());
     auto [cx, cy] = app.click_point();
     sys.input().click(cx, cy);
   };
@@ -117,7 +117,7 @@ MachineResult run_machine(bool protected_machine, std::uint64_t seed) {
 
   result.attempts = spy->attempts();
   result.loot = spy->loot();
-  result.alerts = sys.xserver().alerts().shown_count();
+  result.alerts = sys.xserver().alert_overlay().shown_count();
   result.blocked_logged = sys.audit().count(util::Decision::kDeny);
   result.audit_appended = sys.audit().total_appended();
   result.audit_dropped = sys.audit().dropped();

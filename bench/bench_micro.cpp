@@ -43,9 +43,9 @@ void BM_MonitorCheckWithAlert(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         sys.kernel().monitor().check_now(app.pid, util::Op::kMicrophone, ""));
-    if (sys.xserver().alerts().shown_count() > 100000) {
+    if (sys.xserver().alert_overlay().shown_count() > 100000) {
       state.PauseTiming();
-      sys.xserver().alerts().clear_history();
+      sys.xserver().alert_overlay().clear_history();
       state.ResumeTiming();
     }
   }
@@ -184,7 +184,7 @@ void BM_IcccmPaste(benchmark::State& state) {
   core::OverhaulSystem sys(quiet(enabled));
   auto src = sys.launch_gui_app("/usr/bin/src", "src").value();
   auto dst = sys.launch_gui_app("/usr/bin/dst", "dst",
-                                x11::Rect{300, 0, 100, 100})
+                                display::Rect{300, 0, 100, 100})
                  .value();
   auto& x = sys.xserver();
   (void)x.selections().set_selection_owner(src.client, "CLIPBOARD",

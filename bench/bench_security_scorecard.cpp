@@ -52,7 +52,7 @@ std::vector<Attack> attack_battery() {
          auto victim =
              sys.launch_gui_app("/usr/bin/cheese", "cheese").value();
          auto mal = apps::Spyware::install(sys).value();
-         const auto& r = sys.xserver().window(victim.window)->rect();
+         const auto& r = sys.xserver().surface(victim.window)->rect();
          (void)sys.xserver().xtest_fake_button(mal->client(), r.x + 5, r.y + 5);
          auto fd = sys.kernel().sys_open(victim.pid,
                                          core::OverhaulSystem::camera_path(),
@@ -79,13 +79,13 @@ std::vector<Attack> attack_battery() {
       {"transparent-overlay clickjack",
        [](core::OverhaulSystem& sys) {
          auto victim = sys.launch_gui_app("/usr/bin/bank-app", "bank-app",
-                                          x11::Rect{0, 0, 200, 200})
+                                          display::Rect{0, 0, 200, 200})
                            .value();
          (void)victim;
          auto trap = sys.launch_gui_app("/home/user/.trap", "trap",
-                                        x11::Rect{0, 0, 200, 200})
+                                        display::Rect{0, 0, 200, 200})
                          .value();
-         (void)sys.xserver().set_transparent(trap.client, trap.window, true);
+         (void)sys.xserver().set_input_only(trap.client, trap.window, true);
          sys.advance(sim::Duration::minutes(2));
          sys.input().click(100, 100);
          auto fd = sys.kernel().sys_open(trap.pid,
@@ -96,7 +96,7 @@ std::vector<Attack> attack_battery() {
       {"pop-over window harvest",
        [](core::OverhaulSystem& sys) {
          auto trap = sys.launch_gui_app("/home/user/.trap", "trap",
-                                        x11::Rect{0, 0, 200, 200}, false)
+                                        display::Rect{0, 0, 200, 200}, false)
                          .value();
          sys.input().click(100, 100);  // window mapped an instant ago
          auto fd = sys.kernel().sys_open(trap.pid,
@@ -124,7 +124,7 @@ std::vector<Attack> attack_battery() {
       {"delayed capture beyond δ",
        [](core::OverhaulSystem& sys) {
          auto tool = sys.launch_gui_app("/usr/bin/shot", "shot").value();
-         const auto& r = sys.xserver().window(tool.window)->rect();
+         const auto& r = sys.xserver().surface(tool.window)->rect();
          sys.input().click(r.x + 5, r.y + 5);
          sys.advance(sys.config().delta + sim::Duration::seconds(1));
          return sys.xserver()

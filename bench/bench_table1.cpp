@@ -112,7 +112,7 @@ double run_clipboard(bool enabled) {
   core::OverhaulSystem sys(bench_config(enabled));
   auto src = sys.launch_gui_app("/usr/bin/src", "src").value();
   auto dst = sys.launch_gui_app("/usr/bin/dst", "dst",
-                                x11::Rect{300, 0, 200, 200}).value();
+                                display::Rect{300, 0, 200, 200}).value();
   const std::string payload_wl(kClipboardPayload, 'x');
   if (g_backend == core::DisplayBackendKind::kWayland) {
     auto& comp = sys.compositor();

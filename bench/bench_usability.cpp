@@ -65,15 +65,15 @@ int main() {
     auto spy = sys.launch_daemon("/home/user/.hidden", "hidden").value();
     // Participant browses (interacts with the browser window)...
     auto browser = sys.launch_gui_app("/usr/bin/firefox", "firefox").value();
-    const auto& r = sys.xserver().window(browser.window)->rect();
+    const auto& r = sys.xserver().surface(browser.window)->rect();
     sys.input().click(r.x + 5, r.y + 5);
     // ...and at a random moment the background process hits the camera.
     sys.advance(sim::Duration::seconds(rng.uniform(5, 90)));
-    const std::size_t alerts_before = sys.xserver().alerts().shown_count();
+    const std::size_t alerts_before = sys.xserver().alert_overlay().shown_count();
     auto fd = sys.kernel().sys_open(spy, core::OverhaulSystem::camera_path(),
                                     kern::OpenFlags::kRead);
     const bool blocked = !fd.is_ok();
-    const bool alerted = sys.xserver().alerts().shown_count() > alerts_before;
+    const bool alerted = sys.xserver().alert_overlay().shown_count() > alerts_before;
     if (blocked && alerted) ++alerts_raised;
 
     switch (attention.sample(rng)) {

@@ -35,7 +35,7 @@ int main() {
   MalloryApp mallory(sys, mal_handle.value(), "sniffer");
 
   // The user copies the password (legitimately).
-  (void)x.raise_window(pm->client(), pm->window());
+  (void)x.raise_surface(pm->client(), pm->window());
   auto [cx, cy] = pm->click_point();
   sys.input().click(cx, cy);
   sys.input().press_copy_chord();
@@ -62,7 +62,7 @@ int main() {
   }
   // Attack 3: fake a paste chord with XTEST, then convert.
   {
-    (void)x.raise_window(mallory.client(), mallory.window());
+    (void)x.raise_surface(mallory.client(), mallory.window());
     auto [mx, my] = mallory.click_point();
     (void)x.xtest_fake_button(mallory.client(), mx, my);
     auto s = x.selections().convert_selection(mallory.client(), "CLIPBOARD",
@@ -71,7 +71,7 @@ int main() {
   }
   // Attack 4: snoop the property mid-flight during a legitimate paste.
   {
-    (void)x.raise_window(editor->client(), editor->window());
+    (void)x.raise_surface(editor->client(), editor->window());
     auto [ex, ey] = editor->click_point();
     sys.input().click(ex, ey);
     sys.input().press_paste_chord();

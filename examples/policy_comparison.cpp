@@ -36,9 +36,9 @@ Row run(const char* label, core::OverhaulConfig cfg, bool answer_prompts) {
 
   // Scenario 1: the user clicks record in an unmodified recorder app.
   auto app = sys.launch_gui_app("/usr/bin/recorder", "recorder",
-                                x11::Rect{10, 100, 200, 150})
+                                display::Rect{10, 100, 200, 150})
                  .value();
-  const auto& r = sys.xserver().window(app.window)->rect();
+  const auto& r = sys.xserver().surface(app.window)->rect();
   sys.input().click(r.x + 20, r.y + 20);
   auto fd = sys.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                   kern::OpenFlags::kRead);
@@ -53,7 +53,7 @@ Row run(const char* label, core::OverhaulConfig cfg, bool answer_prompts) {
   row.malware_blocked = !fd.is_ok();
 
   row.prompts = sys.xserver().prompts().stats().prompts_shown;
-  row.alerts = sys.xserver().alerts().shown_count();
+  row.alerts = sys.xserver().alert_overlay().shown_count();
   return row;
 }
 

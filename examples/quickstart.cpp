@@ -52,15 +52,15 @@ int main() {
   std::printf("\nSession timeline:\n%s",
               core::render_timeline(core::build_timeline(sys)).c_str());
   std::printf("\nAlerts shown (%zu), all carrying the visual shared secret:\n",
-              sys.xserver().alerts().shown_count());
-  for (const auto& alert : sys.xserver().alerts().history()) {
+              sys.xserver().alert_overlay().shown_count());
+  for (const auto& alert : sys.xserver().alert_overlay().history()) {
     std::printf("  [secret:%s] %s\n",
-                sys.xserver().alerts().is_authentic(alert) ? "ok" : "BAD",
+                sys.xserver().alert_overlay().is_authentic(alert) ? "ok" : "BAD",
                 alert.text.c_str());
   }
   // What the most recent one looks like on screen (Fig. 5 style):
   std::printf("\n%s", display::AlertOverlay::render_banner(
-                          sys.xserver().alerts().history().back())
+                          sys.xserver().alert_overlay().history().back())
                           .c_str());
 
   // 6. Observability: the same session as counters (what any process can

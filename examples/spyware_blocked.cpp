@@ -36,11 +36,11 @@ RunResult run_machine(bool protected_machine) {
   while (sys.clock().now() < end) {
     // User activity burst.
     auto [cx, cy] = pm->click_point();
-    (void)sys.xserver().raise_window(pm->client(), pm->window());
+    (void)sys.xserver().raise_surface(pm->client(), pm->window());
     sys.input().click(cx, cy);
     sys.input().press_copy_chord();
     (void)pm->copy_password_to_clipboard("bank");
-    (void)sys.xserver().raise_window(editor->client(), editor->window());
+    (void)sys.xserver().raise_surface(editor->client(), editor->window());
     auto [ex, ey] = editor->click_point();
     sys.input().click(ex, ey);
     sys.input().press_paste_chord();
@@ -61,7 +61,7 @@ RunResult run_machine(bool protected_machine) {
   r.clipboard = static_cast<int>(spy->loot().clipboard.size());
   r.screenshots = spy->loot().screenshots;
   r.mic = spy->loot().mic_samples;
-  r.alerts = sys.xserver().alerts().shown_count();
+  r.alerts = sys.xserver().alert_overlay().shown_count();
   return r;
 }
 

@@ -9,7 +9,7 @@ using util::Status;
 Result<std::unique_ptr<MultiProcessBrowser>> MultiProcessBrowser::launch(
     core::OverhaulSystem& sys, const std::string& name) {
   auto handle = sys.launch_gui_app("/usr/bin/" + name, name,
-                                   x11::Rect{50, 50, 800, 600});
+                                   display::Rect{50, 50, 800, 600});
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<MultiProcessBrowser>(
       new MultiProcessBrowser(sys, handle.value(), name));

@@ -217,7 +217,7 @@ class CatalogApp : public GuiApp {
   static Result<std::unique_ptr<CatalogApp>> launch(core::OverhaulSystem& sys,
                                                     const std::string& name) {
     auto handle = sys.launch_gui_app("/usr/bin/" + name, name,
-                                     x11::Rect{10, 10, 300, 200});
+                                     display::Rect{10, 10, 300, 200});
     if (!handle.is_ok()) return handle.status();
     return std::unique_ptr<CatalogApp>(new CatalogApp(sys, handle.value(), name));
   }
@@ -261,7 +261,7 @@ CatalogRunResult run_catalog_entry(core::OverhaulSystem& sys,
   // The user-driven workflow: bring the app to the foreground, click it,
   // then the app accesses its resources right away.
   const auto click_then = [&](const std::function<Status()>& op) {
-    (void)x.raise_window(app.value()->client(), app.value()->window());
+    (void)x.raise_surface(app.value()->client(), app.value()->window());
     auto [cx, cy] = app.value()->click_point();
     sys.input().click(cx, cy);
     note_outcome(op());
@@ -321,7 +321,7 @@ CatalogRunResult run_catalog_entry(core::OverhaulSystem& sys,
     });
     if (entry.supports_delayed_capture) {
       // Delayed shot: the user clicks, then the tool waits longer than δ.
-      (void)x.raise_window(app.value()->client(), app.value()->window());
+      (void)x.raise_surface(app.value()->client(), app.value()->window());
       auto [cx, cy] = app.value()->click_point();
       sys.input().click(cx, cy);
       sys.advance(sys.config().delta + sim::Duration::seconds(3));
@@ -335,13 +335,13 @@ CatalogRunResult run_catalog_entry(core::OverhaulSystem& sys,
     // Copy in this app, paste into a scratch editor — both user-driven.
     auto editor = CatalogApp::launch(sys, entry.name + "-paste-target");
     if (editor.is_ok()) {
-      (void)x.raise_window(app.value()->client(), app.value()->window());
+      (void)x.raise_surface(app.value()->client(), app.value()->window());
       auto [cx, cy] = app.value()->click_point();
       sys.input().click(cx, cy);
       sys.input().press_copy_chord();
       note_outcome(icccm_copy(x, *app.value(), "CLIPBOARD"));
 
-      (void)x.raise_window(editor.value()->client(), editor.value()->window());
+      (void)x.raise_surface(editor.value()->client(), editor.value()->window());
       auto [ex, ey] = editor.value()->click_point();
       sys.input().click(ex, ey);
       sys.input().press_paste_chord();

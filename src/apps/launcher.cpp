@@ -4,14 +4,14 @@ namespace overhaul::apps {
 
 using util::Result;
 
-Result<x11::Image> ShotApp::capture_screen() {
+Result<display::Image> ShotApp::capture_screen() {
   return sys_.xserver().screen().get_image(client_, x11::kRootWindow);
 }
 
 Result<std::unique_ptr<LauncherApp>> LauncherApp::launch(
     core::OverhaulSystem& sys) {
-  auto handle =
-      sys.launch_gui_app("/usr/bin/run", "run", x11::Rect{300, 300, 400, 60});
+  auto handle = sys.launch_gui_app("/usr/bin/run", "run",
+                                   display::Rect{300, 300, 400, 60});
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<LauncherApp>(new LauncherApp(sys, handle.value(), "run"));
 }
@@ -23,7 +23,7 @@ Result<std::unique_ptr<ShotApp>> LauncherApp::run_screenshot_program(
   auto child = kernel().sys_spawn(pid(), "/usr/bin/" + program, program);
   if (!child.is_ok()) return child.status();
 
-  auto client = xserver().connect_client(child.value());
+  auto client = xserver().attach_client(child.value());
   if (!client.is_ok()) return client.status();
 
   return std::make_unique<ShotApp>(sys(), child.value(), client.value());

@@ -25,7 +25,7 @@ class ShotApp {
   [[nodiscard]] x11::ClientId client() const noexcept { return client_; }
 
   // GetImage on the root window.
-  util::Result<x11::Image> capture_screen();
+  util::Result<display::Image> capture_screen();
 
  private:
   core::OverhaulSystem& sys_;

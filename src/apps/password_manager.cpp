@@ -8,7 +8,7 @@ using util::Status;
 Result<std::unique_ptr<PasswordManagerApp>> PasswordManagerApp::launch(
     core::OverhaulSystem& sys) {
   auto handle = sys.launch_gui_app("/usr/bin/keepass", "keepass",
-                                   x11::Rect{600, 100, 380, 500});
+                                   display::Rect{600, 100, 380, 500});
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<PasswordManagerApp>(
       new PasswordManagerApp(sys, handle.value(), "keepass"));
@@ -22,7 +22,7 @@ Status PasswordManagerApp::copy_password_to_clipboard(const std::string& site) {
 Result<std::unique_ptr<EditorApp>> EditorApp::launch(core::OverhaulSystem& sys,
                                                      const std::string& name) {
   auto handle = sys.launch_gui_app("/usr/bin/" + name, name,
-                                   x11::Rect{120, 420, 500, 300});
+                                   display::Rect{120, 420, 500, 300});
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<EditorApp>(new EditorApp(sys, handle.value(), name));
 }

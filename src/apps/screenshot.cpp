@@ -7,18 +7,18 @@ using util::Result;
 Result<std::unique_ptr<ScreenshotApp>> ScreenshotApp::launch(
     core::OverhaulSystem& sys, const std::string& name) {
   auto handle = sys.launch_gui_app("/usr/bin/" + name, name,
-                                   x11::Rect{400, 500, 300, 120});
+                                   display::Rect{400, 500, 300, 120});
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<ScreenshotApp>(
       new ScreenshotApp(sys, handle.value(), name));
 }
 
-Result<x11::Image> ScreenshotApp::capture_now() {
+Result<display::Image> ScreenshotApp::capture_now() {
   return backend_capture_screen(sys(), *this);
 }
 
 void ScreenshotApp::capture_after(
-    sim::Duration delay, std::function<void(Result<x11::Image>)> done) {
+    sim::Duration delay, std::function<void(Result<display::Image>)> done) {
   sys().scheduler().after(delay, [this, done = std::move(done)]() {
     done(backend_capture_screen(sys(), *this));
   });

@@ -22,12 +22,12 @@ class ScreenshotApp : public GuiApp {
       core::OverhaulSystem& sys, const std::string& name = "gnome-screenshot");
 
   // Immediate capture (the harness delivered a hardware click just before).
-  util::Result<x11::Image> capture_now();
+  util::Result<display::Image> capture_now();
 
   // Schedule a capture after `delay`; the callback receives the result once
   // the scheduler reaches that point (drive with sys.advance()).
   void capture_after(sim::Duration delay,
-                     std::function<void(util::Result<x11::Image>)> done);
+                     std::function<void(util::Result<display::Image>)> done);
 
  private:
   using GuiApp::GuiApp;

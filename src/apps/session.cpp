@@ -13,7 +13,7 @@ Status DesktopSession::login() {
   for (const AutostartEntry& entry : autostart_) {
     auto handle = sys_.launch_gui_app(
         entry.exe, entry.comm,
-        x11::Rect{20 + slot * 40, 20 + slot * 30, 320, 240},
+        display::Rect{20 + slot * 40, 20 + slot * 30, 320, 240},
         /*settle=*/false);
     ++slot;
     if (!handle.is_ok()) continue;  // a broken autostart entry is skipped

@@ -12,7 +12,7 @@ using util::Status;
 Result<std::unique_ptr<TerminalSession>> TerminalSession::launch(
     core::OverhaulSystem& sys) {
   auto handle = sys.launch_gui_app("/usr/bin/xterm", "xterm",
-                                   x11::Rect{200, 200, 500, 350});
+                                   display::Rect{200, 200, 500, 350});
   if (!handle.is_ok()) return handle.status();
 
   auto session = std::unique_ptr<TerminalSession>(

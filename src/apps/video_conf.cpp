@@ -8,7 +8,7 @@ using util::Status;
 Result<std::unique_ptr<VideoConfApp>> VideoConfApp::launch(
     core::OverhaulSystem& sys, const std::string& name, bool settle) {
   auto handle = sys.launch_gui_app("/usr/bin/" + name, name,
-                                   x11::Rect{100, 100, 640, 480}, settle);
+                                   display::Rect{100, 100, 640, 480}, settle);
   if (!handle.is_ok()) return handle.status();
   return std::unique_ptr<VideoConfApp>(
       new VideoConfApp(sys, handle.value(), name));

@@ -14,8 +14,6 @@
 
 #include "core/display_backend.h"
 #include "kern/kernel.h"
-#include "wl/compositor.h"
-#include "x11/server.h"
 
 namespace overhaul::core {
 
@@ -113,22 +111,14 @@ struct OverhaulConfig {
     return kc;
   }
 
-  [[nodiscard]] x11::XServerConfig xserver_config() const {
-    x11::XServerConfig xc;
-    xc.overhaul_enabled = enabled;
-    xc.visibility_threshold = visibility_threshold;
-    xc.screen_width = screen_width;
-    xc.screen_height = screen_height;
-    return xc;
-  }
-
-  [[nodiscard]] wl::WlCompositorConfig compositor_config() const {
-    wl::WlCompositorConfig wc;
-    wc.overhaul_enabled = enabled;
-    wc.visibility_threshold = visibility_threshold;
-    wc.screen_width = screen_width;
-    wc.screen_height = screen_height;
-    return wc;
+  // What either display server boots with.
+  [[nodiscard]] DisplayConfig display_config() const {
+    DisplayConfig dc;
+    dc.overhaul_enabled = enabled;
+    dc.visibility_threshold = visibility_threshold;
+    dc.screen_width = screen_width;
+    dc.screen_height = screen_height;
+    return dc;
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace overhaul::core {
@@ -27,6 +28,10 @@ Result<bool> parse_bool(const std::string& v, int line_no) {
                     v + "'");
 }
 
+// The longest duration sim::Duration can hold in nanoseconds.
+constexpr std::int64_t kMaxMillis =
+    std::numeric_limits<std::int64_t>::max() / 1'000'000;
+
 Result<std::int64_t> parse_ms(const std::string& v, int line_no) {
   std::int64_t ms = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), ms);
@@ -34,6 +39,12 @@ Result<std::int64_t> parse_ms(const std::string& v, int line_no) {
     return Status(Code::kInvalidArgument,
                   "line " + std::to_string(line_no) +
                       ": expected positive milliseconds, got '" + v + "'");
+  // Larger values would overflow (and wrap) in the ms → ns conversion.
+  if (ms > kMaxMillis)
+    return Status(Code::kInvalidArgument,
+                  "line " + std::to_string(line_no) + ": " + v +
+                      " ms is longer than the longest duration (" +
+                      std::to_string(kMaxMillis) + " ms)");
   return ms;
 }
 

@@ -35,11 +35,11 @@ OverhaulSystem::OverhaulSystem(OverhaulConfig config)
 
   if (config_.display_backend == DisplayBackendKind::kWayland) {
     compositor_ = std::make_unique<wl::WlCompositor>(
-        *kernel_, config_.compositor_config());
+        *kernel_, config_.display_config());
     display_ = compositor_.get();
   } else {
     xserver_ =
-        std::make_unique<x11::XServer>(*kernel_, config_.xserver_config());
+        std::make_unique<x11::XServer>(*kernel_, config_.display_config());
     display_ = xserver_.get();
   }
   display_->alert_overlay().set_shared_secret(config_.shared_secret);

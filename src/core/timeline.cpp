@@ -17,67 +17,31 @@ std::string_view timeline_kind_name(TimelineKind kind) noexcept {
   return "?";
 }
 
-namespace {
-
-std::string_view event_name(x11::EventType type) noexcept {
-  switch (type) {
-    case x11::EventType::kKeyPress: return "key";
-    case x11::EventType::kButtonPress: return "click";
-    case x11::EventType::kSelectionRequest: return "selection-request";
-    case x11::EventType::kSelectionNotify: return "selection-notify";
-    case x11::EventType::kPropertyNotify: return "property-notify";
-    case x11::EventType::kMapNotify: return "map-notify";
-    case x11::EventType::kUnmapNotify: return "unmap-notify";
-    case x11::EventType::kConfigureNotify: return "configure-notify";
-  }
-  return "?";
-}
-
-}  // namespace
-
 std::vector<TimelineEntry> build_timeline(OverhaulSystem& sys) {
   std::vector<TimelineEntry> entries;
 
-  // Input trace (key/button only — protocol events would drown the view).
-  // Each backend keeps its own trace; the Wayland one has no synthetic
-  // provenance because clients cannot inject input there at all.
-  if (sys.display().backend_kind() == DisplayBackendKind::kWayland) {
-    for (const auto& t : sys.compositor().input_trace()) {
-      if (t.type != wl::WlEventType::kPointerButton &&
-          t.type != wl::WlEventType::kKeyboardKey)
-        continue;
-      TimelineEntry e;
-      e.time = t.time;
-      e.kind = t.clickjack_suppressed ? TimelineKind::kSuppressedInput
-                                      : TimelineKind::kHardwareInput;
-      e.pid = t.receiver_pid;
-      e.text = std::string(t.type == wl::WlEventType::kPointerButton
-                               ? "click"
-                               : "key") +
-               " -> surface " + std::to_string(t.surface) +
-               (t.produced_notification ? "  [N sent]" : "");
-      entries.push_back(std::move(e));
+  // Input trace. Only the X11 server traces synthetic input: Wayland
+  // clients cannot inject input at all.
+  const char* noun = sys.display().backend_kind() == DisplayBackendKind::kX11
+                         ? " -> window "
+                         : " -> surface ";
+  for (const auto& t : sys.display().input_trace()) {
+    TimelineEntry e;
+    e.time = t.time;
+    if (t.synthetic) {
+      e.kind = TimelineKind::kSyntheticInput;
+    } else if (t.clickjack_suppressed) {
+      e.kind = TimelineKind::kSuppressedInput;
+    } else {
+      e.kind = TimelineKind::kHardwareInput;
     }
-  } else {
-    for (const auto& t : sys.xserver().input_trace()) {
-      if (t.type != x11::EventType::kKeyPress &&
-          t.type != x11::EventType::kButtonPress)
-        continue;
-      TimelineEntry e;
-      e.time = t.time;
-      if (t.provenance != x11::Provenance::kHardware) {
-        e.kind = TimelineKind::kSyntheticInput;
-      } else if (t.clickjack_suppressed) {
-        e.kind = TimelineKind::kSuppressedInput;
-      } else {
-        e.kind = TimelineKind::kHardwareInput;
-      }
-      e.pid = t.receiver_pid;
-      e.text = std::string(event_name(t.type)) + " -> window " +
-               std::to_string(t.window) +
-               (t.produced_notification ? "  [N sent]" : "");
-      entries.push_back(std::move(e));
-    }
+    e.pid = t.receiver_pid;
+    e.text = std::string(t.kind == DisplayBackend::InputKind::kButton
+                             ? "click"
+                             : "key") +
+             noun + std::to_string(t.surface) +
+             (t.produced_notification ? "  [N sent]" : "");
+    entries.push_back(std::move(e));
   }
 
   for (const auto& rec : sys.audit().records()) {

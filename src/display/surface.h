@@ -1,17 +1,22 @@
-// WlSurface: a committed wl_surface with an xdg_toplevel role.
+// Surface: one client-owned rectangle on screen — an X11 window or a
+// Wayland xdg_toplevel surface. Both display servers keep the same model.
 //
-// Carries what the trusted input path needs for the clickjacking defense —
-// the same rule as x11::Window (§IV-A): interaction notifications are only
-// minted for a surface that is mapped (configured + committed with a
-// buffer) and has stayed visible above the threshold. The visibility clock
-// restarts on map and on a configure that moves or resizes the surface,
-// mirroring the X11 hardening (DESIGN.md §5): a surface aged off-screen
-// cannot be teleported under the pointer right before a click.
+// Carries what the trusted input path needs for its clickjacking defense
+// (§IV-A: "OVERHAUL only generates interaction notifications if the X client
+// receiving the event has a valid mapped window that has stayed visible
+// above a predefined time threshold") and what the screen-capture mediation
+// needs (ownership, pixel buffers for GetImage/CopyArea/screencopy).
 //
-// `input_only` models a surface with an input region but no opaque content
-// (the Wayland analogue of an X11 input-only/transparent window): it can
-// receive pointer events but is never *visible*, so it can never satisfy
-// the visibility threshold.
+// The visibility clock restarts on map and on a configure that moves or
+// resizes the surface: otherwise an attacker could map a surface far off in
+// a corner, age it past the threshold, then teleport it under the user's
+// pointer right before a click — the same harvest the map-time clock
+// defends against. (A hardening beyond the paper's text; see DESIGN.md §5.)
+//
+// `input_only` models a surface that receives pointer events but has no
+// opaque content (an X11 InputOnly/transparent window, a Wayland surface
+// with an input region and no buffer): it is never *visible*, so it can
+// never satisfy the visibility threshold.
 #pragma once
 
 #include <cstdint>
@@ -21,34 +26,31 @@
 #include "display/types.h"
 #include "sim/clock.h"
 
-namespace overhaul::wl {
+namespace overhaul::display {
 
 using SurfaceId = std::uint32_t;
-using WlClientId = std::uint32_t;
-using Serial = std::uint32_t;
+using ClientId = std::uint32_t;
 
 inline constexpr SurfaceId kNoSurface = 0;
-inline constexpr Serial kInvalidSerial = 0;
 
-class WlSurface {
+class Surface {
  public:
-  WlSurface(SurfaceId id, WlClientId owner, display::Rect rect)
+  Surface(SurfaceId id, ClientId owner, Rect rect)
       : id_(id), owner_(owner), rect_(rect),
         pixels_(rect.width, rect.height) {}
 
   [[nodiscard]] SurfaceId id() const noexcept { return id_; }
-  [[nodiscard]] WlClientId owner() const noexcept { return owner_; }
-  [[nodiscard]] const display::Rect& rect() const noexcept { return rect_; }
+  [[nodiscard]] ClientId owner() const noexcept { return owner_; }
+  [[nodiscard]] const Rect& rect() const noexcept { return rect_; }
 
-  // xdg_surface configure support. Moving a mapped surface restarts the
-  // visibility clock (same rationale as x11::Window::move_to).
+  // Moving a mapped surface restarts the visibility clock.
   void move_to(int x, int y, sim::Timestamp now) noexcept {
     if (mapped_ && (x != rect_.x || y != rect_.y)) mapped_at_ = now;
     rect_.x = x;
     rect_.y = y;
   }
-  // Resizing resets the contents (a fresh wl_buffer attach) and also
-  // restarts the clock when mapped.
+  // Resizing resets the pixel contents (like a fresh backing store or
+  // wl_buffer attach) and also restarts the clock when mapped.
   void resize(int width, int height, sim::Timestamp now) noexcept {
     rect_.width = width;
     rect_.height = height;
@@ -76,22 +78,20 @@ class WlSurface {
   void set_input_only(bool on) noexcept { input_only_ = on; }
 
   // --- pixel contents -------------------------------------------------------
-  // Same contract as x11::Window: reads never allocate, the mutable overload
-  // materialises (display::PixelBuffer).
-  [[nodiscard]] const display::PixelBuffer& pixels() const noexcept {
-    return pixels_;
-  }
+  // Read access never allocates; the mutable overload is for a client that
+  // draws and materialises the buffer (display::PixelBuffer).
+  [[nodiscard]] const PixelBuffer& pixels() const noexcept { return pixels_; }
   [[nodiscard]] std::span<std::uint32_t> pixels() { return pixels_.pixels(); }
   void fill(std::uint32_t argb) noexcept { pixels_.fill(argb); }
 
  private:
   SurfaceId id_;
-  WlClientId owner_;
-  display::Rect rect_;
+  ClientId owner_;
+  Rect rect_;
   bool mapped_ = false;
   bool input_only_ = false;
   sim::Timestamp mapped_at_ = sim::Timestamp::never();
-  display::PixelBuffer pixels_;
+  PixelBuffer pixels_;
 };
 
-}  // namespace overhaul::wl
+}  // namespace overhaul::display

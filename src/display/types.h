@@ -5,7 +5,7 @@
 // rectangle and capture results with the same ARGB32 image. Keeping the
 // types here lets the core::DisplayBackend seam and the cross-backend
 // differential tests talk about geometry without dragging in either
-// protocol stack. x11::Rect / x11::Image remain as aliases so existing
+// protocol stack. display::Rect / display::Image remain as aliases so existing
 // code compiles unchanged.
 #pragma once
 

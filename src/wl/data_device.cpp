@@ -14,7 +14,7 @@ using util::Status;
 
 // --- set_selection: the "copy" ------------------------------------------------
 
-Status WlDataDeviceManager::set_selection(WlClientId client, Serial serial,
+Status WlDataDeviceManager::set_selection(ClientId client, Serial serial,
                                           std::vector<std::string> mime_types) {
   WlConnection* c = comp_.connection(client);
   if (c == nullptr) return Status(Code::kNotFound, "no such client");
@@ -55,7 +55,7 @@ Status WlDataDeviceManager::set_selection(WlClientId client, Serial serial,
 
 // --- receive: the "paste" -----------------------------------------------------
 
-Status WlDataDeviceManager::request_receive(WlClientId client,
+Status WlDataDeviceManager::request_receive(ClientId client,
                                             const std::string& mime) {
   WlConnection* req = comp_.connection(client);
   if (req == nullptr) return Status(Code::kNotFound, "no such client");
@@ -104,7 +104,7 @@ Status WlDataDeviceManager::request_receive(WlClientId client,
   return Status::ok();
 }
 
-Status WlDataDeviceManager::source_send(WlClientId source_client,
+Status WlDataDeviceManager::source_send(ClientId source_client,
                                         const std::string& mime,
                                         std::string data) {
   if (!selection_.has_value() || selection_->client != source_client)
@@ -120,7 +120,7 @@ Status WlDataDeviceManager::source_send(WlClientId source_client,
 }
 
 Result<std::string> WlDataDeviceManager::take_received(
-    WlClientId client, const std::string& mime) {
+    ClientId client, const std::string& mime) {
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (it->target != client || it->mime != mime) continue;
     if (!it->data_ready)
@@ -137,7 +137,7 @@ Result<std::string> WlDataDeviceManager::take_received(
 
 void WlDataDeviceManager::advertise_to_focus() {
   if (!selection_.has_value()) return;
-  WlSurface* focus = comp_.surface(comp_.seat().keyboard_focus());
+  display::Surface* focus = comp_.surface(comp_.seat().keyboard_focus());
   if (focus == nullptr) return;
   WlConnection* conn = comp_.connection(focus->owner());
   if (conn == nullptr) return;
@@ -148,7 +148,7 @@ void WlDataDeviceManager::advertise_to_focus() {
   ++stats_.offers_advertised;
 }
 
-void WlDataDeviceManager::on_client_disconnected(WlClientId client) {
+void WlDataDeviceManager::on_client_disconnected(ClientId client) {
   if (selection_.has_value() && selection_->client == client) {
     selection_.reset();
     pending_.clear();

@@ -31,7 +31,7 @@ class WlCompositor;
 
 // The current selection: who owns it and which formats it offers.
 struct WlDataSource {
-  WlClientId client = 0;
+  ClientId client = 0;
   std::vector<std::string> mime_types;
   Serial serial = kInvalidSerial;  // as presented (possibly forged)
   bool serial_genuine = false;     // seat-validated provenance
@@ -43,7 +43,7 @@ class WlDataDeviceManager {
 
   // wl_data_device.set_selection: `client` claims the selection, presenting
   // the input serial of the user action behind it. Mediated as Op::kCopy.
-  util::Status set_selection(WlClientId client, Serial serial,
+  util::Status set_selection(ClientId client, Serial serial,
                              std::vector<std::string> mime_types);
 
   [[nodiscard]] const WlDataSource* selection() const noexcept {
@@ -53,14 +53,14 @@ class WlDataDeviceManager {
   // wl_data_offer.receive for the current selection: mediated as Op::kPaste.
   // On grant the source client gets a kDataSendRequest event and must answer
   // with source_send(); the receiver then collects via take_received().
-  util::Status request_receive(WlClientId client, const std::string& mime);
+  util::Status request_receive(ClientId client, const std::string& mime);
 
   // The source side of the transfer (a toolkit answering wl_data_source.send).
-  util::Status source_send(WlClientId source_client, const std::string& mime,
+  util::Status source_send(ClientId source_client, const std::string& mime,
                            std::string data);
 
   // The receiver side: collect the transferred data (reads the pipe).
-  util::Result<std::string> take_received(WlClientId client,
+  util::Result<std::string> take_received(ClientId client,
                                           const std::string& mime);
 
   // Advertise the current selection as a data_offer to the keyboard-focus
@@ -69,7 +69,7 @@ class WlDataDeviceManager {
   void advertise_to_focus();
 
   // Selection ownership cleanup on client disconnect.
-  void on_client_disconnected(WlClientId client);
+  void on_client_disconnected(ClientId client);
 
   struct Stats {
     std::uint64_t copies_granted = 0;
@@ -95,7 +95,7 @@ class WlDataDeviceManager {
   }
 
   struct PendingReceive {
-    WlClientId target = 0;
+    ClientId target = 0;
     std::string mime;
     bool data_ready = false;
     std::string data;

@@ -13,12 +13,12 @@ using util::Op;
 using util::Result;
 using util::Status;
 
-Status WlScreencopyManager::authorize_capture(WlClientId client,
+Status WlScreencopyManager::authorize_capture(ClientId client,
                                               SurfaceId surface_id) {
   if (comp_.connection(client) == nullptr)
     return Status(Code::kNotFound, "screencopy: no such client");
   if (surface_id != kNoSurface) {
-    WlSurface* surf = comp_.surface(surface_id);
+    display::Surface* surf = comp_.surface(surface_id);
     if (surf == nullptr) return Status(Code::kBadWindow, "no such surface");
     // Capturing your own surface is always fine — the same-owner fast path.
     if (surf->owner() == client) {
@@ -46,7 +46,7 @@ Status WlScreencopyManager::authorize_capture(WlClientId client,
 display::Image WlScreencopyManager::composite_output() const {
   std::vector<display::Layer> layers;
   for (SurfaceId sid : comp_.stacking_order()) {
-    const WlSurface* surf = comp_.surface(sid);
+    const display::Surface* surf = comp_.surface(sid);
     if (surf == nullptr || !surf->mapped() || surf->input_only()) continue;
     layers.push_back({surf->rect().x, surf->rect().y, &surf->pixels()});
   }
@@ -56,7 +56,7 @@ display::Image WlScreencopyManager::composite_output() const {
   return display::composite(bare, layers);
 }
 
-Result<display::Image> WlScreencopyManager::capture_output(WlClientId client) {
+Result<display::Image> WlScreencopyManager::capture_output(ClientId client) {
   obs::Tracer::Span span;
   if (auto& tracer = comp_.obs().tracer; tracer.enabled()) {
     WlConnection* c = comp_.connection(client);
@@ -68,7 +68,7 @@ Result<display::Image> WlScreencopyManager::capture_output(WlClientId client) {
 }
 
 Result<display::Image> WlScreencopyManager::capture_surface(
-    WlClientId client, SurfaceId surface_id) {
+    ClientId client, SurfaceId surface_id) {
   obs::Tracer::Span span;
   if (auto& tracer = comp_.obs().tracer; tracer.enabled()) {
     WlConnection* c = comp_.connection(client);
@@ -78,7 +78,7 @@ Result<display::Image> WlScreencopyManager::capture_surface(
   }
   if (auto s = authorize_capture(client, surface_id); !s.is_ok()) return s;
 
-  const WlSurface* surf = comp_.surface(surface_id);
+  const display::Surface* surf = comp_.surface(surface_id);
   return surf->pixels().to_image();
 }
 

@@ -13,7 +13,7 @@
 #include "display/types.h"
 #include "obs/obs.h"
 #include "util/status.h"
-#include "wl/surface.h"
+#include "wl/connection.h"
 
 namespace overhaul::wl {
 
@@ -25,11 +25,11 @@ class WlScreencopyManager {
 
   // Capture the whole output: every mapped surface composited in stacking
   // order — what a screenshot tool (or the §V-D spyware) asks for.
-  util::Result<display::Image> capture_output(WlClientId client);
+  util::Result<display::Image> capture_output(ClientId client);
 
   // Capture a single surface. Own surfaces are free; foreign surfaces are
   // mediated like an output capture.
-  util::Result<display::Image> capture_surface(WlClientId client,
+  util::Result<display::Image> capture_surface(ClientId client,
                                                SurfaceId surface);
 
   // The composited output (no mediation — internal to the compositor).
@@ -53,7 +53,7 @@ class WlScreencopyManager {
 
   // Shared mediation: does `client` get pixel access to `surface`
   // (kNoSurface = the whole output)?
-  util::Status authorize_capture(WlClientId client, SurfaceId surface);
+  util::Status authorize_capture(ClientId client, SurfaceId surface);
 
   WlCompositor& comp_;
   Stats stats_;

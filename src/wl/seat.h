@@ -17,7 +17,7 @@
 #include <deque>
 
 #include "sim/clock.h"
-#include "wl/surface.h"
+#include "wl/connection.h"
 
 namespace overhaul::wl {
 
@@ -27,7 +27,7 @@ class WlSeat {
 
   struct SerialRecord {
     Serial serial = kInvalidSerial;
-    WlClientId client = 0;       // the client the event was delivered to
+    ClientId client = 0;       // the client the event was delivered to
     SurfaceId surface = kNoSurface;
     sim::Timestamp minted_at;
   };
@@ -38,7 +38,7 @@ class WlSeat {
 
   // Mint the next serial for a hardware event delivered to `client` on
   // `surface`. Only the compositor's input-delivery path calls this.
-  Serial mint_serial(WlClientId client, SurfaceId surface) {
+  Serial mint_serial(ClientId client, SurfaceId surface) {
     const Serial serial = next_serial_++;
     history_.push_back(SerialRecord{serial, client, surface, clock_.now()});
     if (history_.size() > kSerialHistory) history_.pop_front();
@@ -55,7 +55,7 @@ class WlSeat {
   }
 
   // Provenance check: is `serial` one this seat minted for `client`?
-  [[nodiscard]] bool serial_valid(WlClientId client, Serial serial) const {
+  [[nodiscard]] bool serial_valid(ClientId client, Serial serial) const {
     const SerialRecord* rec = lookup(serial);
     return rec != nullptr && rec->client == client;
   }

@@ -8,8 +8,8 @@ using util::Code;
 using util::Status;
 
 Status AcgManager::register_gadget(ClientId client, WindowId window_id,
-                                   Rect rect, util::Op op) {
-  Window* win = server_.window(window_id);
+                                   display::Rect rect, util::Op op) {
+  const display::Surface* win = server_.surface(window_id);
   if (win == nullptr) return Status(Code::kBadWindow, "no such window");
   if (win->owner() != client)
     return Status(Code::kBadAccess, "gadget on foreign window");
@@ -21,8 +21,8 @@ Status AcgManager::register_gadget(ClientId client, WindowId window_id,
   return Status::ok();
 }
 
-std::optional<util::Op> AcgManager::gadget_hit(const Window& win, int x,
-                                               int y) const {
+std::optional<util::Op> AcgManager::gadget_hit(const display::Surface& win,
+                                               int x, int y) const {
   const int rel_x = x - win.rect().x;
   const int rel_y = y - win.rect().y;
   for (const Gadget& g : gadgets_) {

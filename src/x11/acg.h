@@ -20,9 +20,11 @@
 #include <optional>
 #include <vector>
 
+#include "display/surface.h"
+#include "display/types.h"
 #include "util/audit_log.h"
 #include "util/status.h"
-#include "x11/window.h"
+#include "x11/client.h"
 
 namespace overhaul::x11 {
 
@@ -31,7 +33,7 @@ class XServer;
 struct Gadget {
   ClientId client = 0;
   WindowId window = kNoWindow;
-  Rect rect;            // window-relative
+  display::Rect rect;   // window-relative
   util::Op op = util::Op::kDeviceOther;
 };
 
@@ -41,13 +43,15 @@ class AcgManager {
 
   // Application-side registration (this is the source-modification ACGs
   // require). The rect is relative to the window's origin; owner-only.
-  util::Status register_gadget(ClientId client, WindowId window, Rect rect,
+  util::Status register_gadget(ClientId client, WindowId window,
+                               display::Rect rect,
                                util::Op op);
 
   // Input-dispatch hook: called for hardware clicks that passed the
   // trusted-input checks. If (x, y) — screen coordinates — lands in a
   // gadget of `win`, reports the op-specific grant; returns the op hit.
-  std::optional<util::Op> gadget_hit(const Window& win, int x, int y) const;
+  std::optional<util::Op> gadget_hit(const display::Surface& win, int x,
+                                     int y) const;
 
   [[nodiscard]] std::size_t gadget_count() const noexcept {
     return gadgets_.size();

@@ -1,21 +1,21 @@
-// XClient: a connected client with its event queue and pid binding.
-//
-// §IV-A: interaction notifications "are labeled with the PID of the process
-// that received the event and a timestamp. The PID serves as an unforgeable
-// binding between a window belonging to a process and events, as the mapping
-// between X client sockets and the PID is retrieved from the kernel." The
-// pid recorded here is that kernel-provided socket-peer binding — clients
-// cannot choose it.
+// X11 client protocol vocabulary: window ids, events, event masks and the
+// provenance tag, and XClient — a display::QueuedClient of XEvents.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
-#include "kern/task.h"
-#include "x11/window.h"
+#include "display/client.h"
+#include "display/surface.h"
 
 namespace overhaul::x11 {
+
+using WindowId = display::SurfaceId;
+using ClientId = display::ClientId;
+
+inline constexpr WindowId kNoWindow = display::kNoSurface;
+inline constexpr WindowId kRootWindow = 1;
+inline constexpr ClientId kServerClient = 0;  // the server itself
 
 enum class EventType : std::uint8_t {
   kKeyPress,
@@ -67,53 +67,7 @@ struct XEvent {
   WindowId requestor = kNoWindow;
 };
 
-class XClient {
- public:
-  XClient(ClientId id, kern::Pid pid) : id_(id), pid_(pid) {}
-
-  [[nodiscard]] ClientId id() const noexcept { return id_; }
-  [[nodiscard]] kern::Pid pid() const noexcept { return pid_; }
-
-  // A client that never pumps its queue cannot grow server memory without
-  // bound (the X server disconnects such clients; we drop + count instead
-  // so scenarios stay analyzable).
-  static constexpr std::size_t kMaxQueuedEvents = 4096;
-
-  void enqueue(XEvent event) {
-    if (queue_.size() >= kMaxQueuedEvents) {
-      ++dropped_events_;
-      return;
-    }
-    queue_.push_back(std::move(event));
-  }
-
-  [[nodiscard]] std::uint64_t dropped_events() const noexcept {
-    return dropped_events_;
-  }
-
-  [[nodiscard]] bool has_events() const noexcept { return !queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.size();
-  }
-
-  // Pop the next event (FIFO). Caller must check has_events().
-  XEvent next_event() {
-    XEvent ev = std::move(queue_.front());
-    queue_.pop_front();
-    return ev;
-  }
-
-  void drain() { queue_.clear(); }
-
-  [[nodiscard]] bool connected() const noexcept { return connected_; }
-  void disconnect() noexcept { connected_ = false; }
-
- private:
-  ClientId id_;
-  kern::Pid pid_;
-  bool connected_ = true;
-  std::deque<XEvent> queue_;
-  std::uint64_t dropped_events_ = 0;
-};
+// A connected client: kernel-verified pid and its XEvent queue.
+using XClient = display::QueuedClient<XEvent>;
 
 }  // namespace overhaul::x11

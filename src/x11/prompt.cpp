@@ -14,13 +14,13 @@ Decision PromptManager::ask(int pid, const std::string& comm, util::Op op) {
   prompt.op = op;
   prompt.text = "Allow " + comm + " to access " +
                 std::string(util::op_name(op)) + "?";
-  prompt.secret = server_.alerts().shared_secret_for_verification();
+  prompt.secret = server_.alert_overlay().shared_secret_for_verification();
   // Buttons live in the reserved overlay strip at the top-right of the
   // screen — coordinates no client window can claim ahead of the prompt
   // dispatcher.
   const int w = server_.config().screen_width;
-  prompt.allow_button = Rect{w - 220, 4, 100, 32};
-  prompt.deny_button = Rect{w - 110, 4, 100, 32};
+  prompt.allow_button = display::Rect{w - 220, 4, 100, 32};
+  prompt.deny_button = display::Rect{w - 110, 4, 100, 32};
 
   ++stats_.prompts_shown;
   pending_ = prompt;

@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "display/types.h"
 #include "util/audit_log.h"
-#include "window.h"
 
 namespace overhaul::x11 {
 
@@ -35,8 +35,8 @@ struct Prompt {
   util::Op op = util::Op::kDeviceOther;
   std::string text;
   std::string secret;      // the visual shared secret (unforgeable)
-  Rect allow_button;
-  Rect deny_button;
+  display::Rect allow_button;
+  display::Rect deny_button;
   bool decided = false;
   util::Decision decision = util::Decision::kDeny;
 };

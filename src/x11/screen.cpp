@@ -14,7 +14,7 @@ using util::Result;
 using util::Status;
 
 Status ScreenResources::authorize_capture(ClientId client, WindowId window_id) {
-  Window* win = server_.window(window_id);
+  display::Surface* win = server_.surface(window_id);
   if (win == nullptr) return Status(Code::kBadWindow, "no such window");
 
   // Capturing your own window is always fine; the root window and foreign
@@ -34,28 +34,29 @@ Status ScreenResources::authorize_capture(ClientId client, WindowId window_id) {
   return Status::ok();
 }
 
-Image ScreenResources::composite_screen() const {
+display::Image ScreenResources::composite_screen() const {
   // The root window's buffer is the background; mapped windows stack over
   // it bottom → top.
   std::vector<display::Layer> layers;
   for (WindowId wid : server_.stacking_order()) {
-    const Window* win = server_.window(wid);
+    const display::Surface* win = server_.surface(wid);
     if (wid == kRootWindow || win == nullptr || !win->mapped() ||
-        win->transparent())
+        win->input_only())
       continue;
     layers.push_back({win->rect().x, win->rect().y, &win->pixels()});
   }
-  const Window* root = server_.window(kRootWindow);
+  const display::Surface* root = server_.surface(kRootWindow);
   return display::composite(root->pixels(), layers);
 }
 
-Image ScreenResources::capture(WindowId window_id) const {
+display::Image ScreenResources::capture(WindowId window_id) const {
   if (window_id == kRootWindow) return composite_screen();
-  const Window* win = server_.window(window_id);
+  const display::Surface* win = server_.surface(window_id);
   return win->pixels().to_image();
 }
 
-Result<Image> ScreenResources::get_image(ClientId client, WindowId window_id) {
+Result<display::Image> ScreenResources::get_image(ClientId client,
+                                                  WindowId window_id) {
   obs::Tracer::Span span;
   if (auto& tracer = server_.obs().tracer; tracer.enabled()) {
     XClient* c = server_.client(client);
@@ -80,16 +81,16 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
   if (auto s = authorize_capture(client, window_id); !s.is_ok()) return s;
 
   // The root window spans the screen, so its size is the composite's.
-  const Window* win = server_.window(window_id);
+  const display::Surface* win = server_.surface(window_id);
   const std::size_t bytes = win->pixels().size() * sizeof(std::uint32_t);
   if (bytes > dst.segment()->size())
     return Status(Code::kInvalidArgument, "shm segment too small for image");
-  const Image img = capture(window_id);
+  const display::Image img = capture(window_id);
 
   // Write through the X server's own task so the kernel page-fault
   // interposition sees the transfer like any other shared-memory IPC.
   kern::TaskStruct* server_task =
-      server_.kernel().processes().lookup_live(server_.pid());
+      server_.kernel().processes().lookup_live(server_.server_pid());
   if (server_task == nullptr)
     return Status(Code::kNotFound, "X server task missing");
   if (auto s = dst.write(*server_task, 0, img.pixels.data(), bytes);
@@ -100,8 +101,8 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
 
 Status ScreenResources::copy_area(ClientId client, WindowId src_id,
                                   WindowId dst_id) {
-  Window* src = server_.window(src_id);
-  Window* dst = server_.window(dst_id);
+  display::Surface* src = server_.surface(src_id);
+  display::Surface* dst = server_.surface(dst_id);
   if (src == nullptr || dst == nullptr)
     return Status(Code::kBadWindow, "copy_area: bad window");
   if (dst->owner() != client)
@@ -127,8 +128,8 @@ Status ScreenResources::copy_plane(ClientId client, WindowId src_id,
                                    WindowId dst_id, unsigned plane) {
   if (plane >= 32)
     return Status(Code::kInvalidArgument, "copy_plane: bad plane");
-  Window* src = server_.window(src_id);
-  Window* dst = server_.window(dst_id);
+  display::Surface* src = server_.surface(src_id);
+  display::Surface* dst = server_.surface(dst_id);
   if (src == nullptr || dst == nullptr)
     return Status(Code::kBadWindow, "copy_plane: bad window");
   if (dst->owner() != client)

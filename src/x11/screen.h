@@ -15,15 +15,11 @@
 #include "display/types.h"
 #include "kern/ipc/shared_memory.h"
 #include "util/status.h"
-#include "x11/window.h"
+#include "x11/client.h"
 
 namespace overhaul::x11 {
 
 class XServer;
-
-// Capture results are shared with the Wayland backend (src/display/types.h)
-// so the differential tests can compare images across backends directly.
-using Image = display::Image;
 
 class ScreenResources {
  public:
@@ -33,10 +29,10 @@ class ScreenResources {
   // screen: every mapped window rendered in stacking order over the root
   // background — what a real screenshot contains (and what the §V-D malware
   // was after: "screenshots of bank account information").
-  util::Result<Image> get_image(ClientId client, WindowId window);
+  util::Result<display::Image> get_image(ClientId client, WindowId window);
 
   // The composited full screen (no mediation — internal to the server).
-  [[nodiscard]] Image composite_screen() const;
+  [[nodiscard]] display::Image composite_screen() const;
 
   // MIT-SHM XShmGetImage: same mediation, but the pixels land in a shared
   // memory segment the client supplied — which routes the transfer through
@@ -65,7 +61,7 @@ class ScreenResources {
   util::Status authorize_capture(ClientId client, WindowId window);
   // The pixels a granted capture of `window` returns: the composited screen
   // for the root window, the window's own contents otherwise.
-  [[nodiscard]] Image capture(WindowId window) const;
+  [[nodiscard]] display::Image capture(WindowId window) const;
 
   XServer& server_;
   Stats stats_;

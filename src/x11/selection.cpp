@@ -19,7 +19,7 @@ Status SelectionManager::set_selection_owner(ClientId client,
                                              WindowId owner_window) {
   XClient* c = server_.client(client);
   if (c == nullptr) return Status(Code::kNotFound, "no such client");
-  Window* win = server_.window(owner_window);
+  display::Surface* win = server_.surface(owner_window);
   if (win == nullptr || win->owner() != client)
     return Status(Code::kBadWindow, "selection owner window invalid");
 
@@ -60,7 +60,7 @@ Status SelectionManager::convert_selection(ClientId requestor,
                                            const std::string& target) {
   XClient* req = server_.client(requestor);
   if (req == nullptr) return Status(Code::kNotFound, "no such client");
-  Window* win = server_.window(requestor_window);
+  display::Surface* win = server_.surface(requestor_window);
   if (win == nullptr || win->owner() != requestor)
     return Status(Code::kBadWindow, "requestor window invalid");
 
@@ -115,7 +115,7 @@ Status SelectionManager::convert_selection(ClientId requestor,
 Status SelectionManager::change_property(ClientId client, WindowId window,
                                          const std::string& property,
                                          std::string data) {
-  Window* win = server_.window(window);
+  display::Surface* win = server_.surface(window);
   if (win == nullptr) return Status(Code::kBadWindow, "no such window");
   // The X maximum-request size bounds one-shot property writes; larger
   // transfers must use INCR.
@@ -171,7 +171,7 @@ Status SelectionManager::delete_property(ClientId client, WindowId window,
   const auto it = properties_.find({window, property});
   if (it == properties_.end())
     return Status(Code::kBadAtom, "no such property: " + property);
-  Window* win = server_.window(window);
+  display::Surface* win = server_.surface(window);
   if (win == nullptr || (win->owner() != client))
     return Status(Code::kBadAccess, "delete on foreign window");
   properties_.erase(it);

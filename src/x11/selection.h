@@ -23,7 +23,6 @@
 
 #include "util/status.h"
 #include "x11/client.h"
-#include "x11/window.h"
 
 namespace overhaul::x11 {
 

@@ -4,190 +4,54 @@
 
 namespace overhaul::x11 {
 
-using kern::Pid;
 using util::Code;
-using util::Decision;
-using util::Result;
 using util::Status;
 
-XServer::XServer(kern::Kernel& kernel, XServerConfig config)
-    : kernel_(kernel),
-      config_(config),
-      alerts_(kernel.clock()),
-      selections_(*this),
-      screen_(*this) {
-  // The X server runs as a root-owned userspace process spawned from init.
-  auto pid = kernel_.sys_spawn(1, kXorgExe, "Xorg");
-  pid_ = pid.is_ok() ? pid.value() : kern::kNoPid;
+XServer::XServer(kern::Kernel& kernel, core::DisplayConfig config)
+    : DisplayBackend(kernel, config, core::DisplayBackendKind::kX11, kXorgExe,
+                     "Xorg") {
+  // The root window covers the screen.
+  create_root_surface();
 
-  // Root window covers the screen.
-  auto root = std::make_unique<Window>(
-      kRootWindow, kServerClient,
-      Rect{0, 0, config_.screen_width, config_.screen_height});
-  root->map(kernel_.clock().now());
-  windows_.emplace(kRootWindow, std::move(root));
-
-  if (config_.overhaul_enabled) {
-    // §IV-A: "the X server was modified to connect to a secure communication
-    // channel upon initialization". The kernel authenticates us by
-    // introspecting our exe path.
-    auto channel = kernel_.netlink().connect(pid_);
-    if (channel.is_ok()) {
-      channel_ = std::move(channel).value();
-      channel_->set_alert_handler([this](const kern::AlertRequest& alert) {
-        alerts_.show(alert.pid, alert.comm, alert.op, alert.decision);
-      });
-    }
-  }
-
-  auto& metrics = kernel_.obs().metrics;
-  c_hw_events_ = metrics.counter("x11.input.hardware_events");
+  auto& metrics = obs().metrics;
   c_synthetic_events_ = metrics.counter("x11.input.synthetic_events");
-  c_notifications_ = metrics.counter("x11.input.notifications");
-  c_clickjack_ = metrics.counter("x11.input.clickjack_suppressed");
   c_send_event_drops_ = metrics.counter("x11.send_event.drops");
 }
 
-// --- client connections -------------------------------------------------------
+// --- window lifecycle -------------------------------------------------------
 
-Result<ClientId> XServer::connect_client(Pid pid) {
-  if (kernel_.processes().lookup_live(pid) == nullptr)
-    return Status(Code::kNotFound, "connect: no such process");
-  const ClientId id = next_client_++;
-  clients_.emplace(id, std::make_unique<XClient>(id, pid));
-  return id;
+void XServer::on_surface_change(const display::Surface& win,
+                                SurfaceChange change) {
+  switch (change) {
+    case SurfaceChange::kShown:
+      emit_structure_notify(win.id(), EventType::kMapNotify);
+      break;
+    case SurfaceChange::kHidden:
+      emit_structure_notify(win.id(), EventType::kUnmapNotify);
+      break;
+    case SurfaceChange::kConfigured:
+      emit_structure_notify(win.id(), EventType::kConfigureNotify);
+      break;
+    case SurfaceChange::kDestroyed:
+      if (focus_ == win.id()) focus_ = kNoWindow;
+      if (keyboard_grab_ == win.id()) keyboard_grab_ = kNoWindow;
+      if (pointer_grab_ == win.id()) pointer_grab_ = kNoWindow;
+      acg_.unregister_window(win.id());
+      break;
+  }
 }
 
-Status XServer::disconnect_client(ClientId id) {
-  auto it = clients_.find(id);
-  if (it == clients_.end()) return Status(Code::kNotFound, "no such client");
-  it->second->disconnect();
-  // Unmap and destroy the client's windows.
-  std::vector<WindowId> owned;
-  for (auto& [wid, win] : windows_) {
-    if (win->owner() == id) owned.push_back(wid);
-  }
-  for (WindowId wid : owned) {
-    std::erase(stacking_, wid);
-    windows_.erase(wid);
-    if (focus_ == wid) focus_ = kNoWindow;
-    acg_.unregister_window(wid);
-    if (keyboard_grab_ == wid) keyboard_grab_ = kNoWindow;
-    if (pointer_grab_ == wid) pointer_grab_ = kNoWindow;
-  }
+void XServer::on_client_detached(display::ClientId id) {
   std::erase_if(event_masks_,
                 [&](const auto& entry) { return entry.first.first == id; });
   selections_.on_client_disconnected(id);
-  clients_.erase(it);
-  return Status::ok();
-}
-
-XClient* XServer::client(ClientId id) {
-  const auto it = clients_.find(id);
-  return it == clients_.end() ? nullptr : it->second.get();
-}
-
-XClient* XServer::client_of_pid(Pid pid) {
-  for (auto& [id, c] : clients_) {
-    (void)id;
-    if (c->pid() == pid) return c.get();
-  }
-  return nullptr;
-}
-
-std::size_t XServer::pixel_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [id, win] : windows_)
-    total += std::as_const(*win).pixels().bytes();
-  return total;
-}
-
-// --- window management ----------------------------------------------------------
-
-Result<WindowId> XServer::create_window(ClientId client_id, Rect rect) {
-  if (client(client_id) == nullptr)
-    return Status(Code::kNotFound, "create_window: no such client");
-  if (rect.width <= 0 || rect.height <= 0)
-    return Status(Code::kInvalidArgument, "create_window: empty geometry");
-  const WindowId id = next_window_++;
-  windows_.emplace(id, std::make_unique<Window>(id, client_id, rect));
-  return id;
-}
-
-Status XServer::map_window(ClientId client_id, WindowId window_id) {
-  Window* win = window(window_id);
-  if (win == nullptr) return Status(Code::kBadWindow, "map: no such window");
-  if (win->owner() != client_id)
-    return Status(Code::kBadAccess, "map: not the owner");
-  win->map(kernel_.clock().now());
-  std::erase(stacking_, window_id);
-  stacking_.push_back(window_id);  // newly mapped windows land on top
-  emit_structure_notify(window_id, EventType::kMapNotify);
-  return Status::ok();
-}
-
-Status XServer::unmap_window(ClientId client_id, WindowId window_id) {
-  Window* win = window(window_id);
-  if (win == nullptr) return Status(Code::kBadWindow, "unmap: no such window");
-  if (win->owner() != client_id)
-    return Status(Code::kBadAccess, "unmap: not the owner");
-  win->unmap();
-  std::erase(stacking_, window_id);
-  emit_structure_notify(window_id, EventType::kUnmapNotify);
-  return Status::ok();
-}
-
-Status XServer::raise_window(ClientId client_id, WindowId window_id) {
-  Window* win = window(window_id);
-  if (win == nullptr) return Status(Code::kBadWindow, "raise: no such window");
-  if (win->owner() != client_id)
-    return Status(Code::kBadAccess, "raise: not the owner");
-  if (!win->mapped())
-    return Status(Code::kInvalidArgument, "raise: window not mapped");
-  std::erase(stacking_, window_id);
-  stacking_.push_back(window_id);
-  // Note: raising does NOT restart the visibility clock — the window was
-  // already visible; only map does.
-  return Status::ok();
-}
-
-Status XServer::configure_window(ClientId client_id, WindowId window_id,
-                                 Rect rect) {
-  Window* win = window(window_id);
-  if (win == nullptr) return Status(Code::kBadWindow, "no such window");
-  if (win->owner() != client_id)
-    return Status(Code::kBadAccess, "not the owner");
-  if (rect.width <= 0 || rect.height <= 0)
-    return Status(Code::kInvalidArgument, "empty geometry");
-  const sim::Timestamp now = kernel_.clock().now();
-  if (rect.width != win->rect().width || rect.height != win->rect().height) {
-    win->resize(rect.width, rect.height, now);
-  }
-  win->move_to(rect.x, rect.y, now);
-  emit_structure_notify(window_id, EventType::kConfigureNotify);
-  return Status::ok();
-}
-
-Status XServer::set_transparent(ClientId client_id, WindowId window_id,
-                                bool on) {
-  Window* win = window(window_id);
-  if (win == nullptr) return Status(Code::kBadWindow, "no such window");
-  if (win->owner() != client_id)
-    return Status(Code::kBadAccess, "not the owner");
-  win->set_transparent(on);
-  return Status::ok();
-}
-
-Window* XServer::window(WindowId id) {
-  const auto it = windows_.find(id);
-  return it == windows_.end() ? nullptr : it->second.get();
 }
 
 Status XServer::select_input(ClientId client_id, WindowId window_id,
                              std::uint32_t mask) {
   if (client(client_id) == nullptr)
     return Status(Code::kNotFound, "select_input: no such client");
-  if (window(window_id) == nullptr)
+  if (surface(window_id) == nullptr)
     return Status(Code::kBadWindow, "select_input: no such window");
   if (mask == kNoEventMask) {
     event_masks_.erase({client_id, window_id});
@@ -218,83 +82,33 @@ void XServer::emit_structure_notify(WindowId window_id, EventType type) {
   }
 }
 
-Window* XServer::window_at(int x, int y) {
-  // Top of stack first.
-  for (auto it = stacking_.rbegin(); it != stacking_.rend(); ++it) {
-    Window* win = window(*it);
-    if (win != nullptr && win->mapped() && win->rect().contains(x, y))
-      return win;
-  }
-  return nullptr;
-}
-
 // --- input path ---------------------------------------------------------------------
 
-bool XServer::passes_visibility_check(const Window& win) const {
-  // §IV-A: "OVERHAUL only generates interaction notifications if the X
-  // client receiving the event has a valid mapped window that has stayed
-  // visible above a predefined time threshold." Transparent windows are
-  // never *visible*, no matter how long they have been mapped.
-  if (!win.mapped() || win.transparent()) return false;
-  return win.visible_for(kernel_.clock().now()) >= config_.visibility_threshold;
-}
-
-void XServer::deliver_input(XEvent event, Window& win) {
+bool XServer::deliver_input(XEvent event, display::Surface& win) {
   XClient* owner = client(win.owner());
-  if (owner == nullptr) return;
+  if (owner == nullptr) return false;
 
-  InputTraceEntry trace;
-  trace.time = kernel_.clock().now();
-  trace.type = event.type;
-  trace.provenance = event.provenance;
-  trace.receiver_pid = owner->pid();
-  trace.window = win.id();
-
-  if (event.provenance == Provenance::kHardware) {
-    ++stats_.hardware_events;
-    c_hw_events_->add();
-    if (config_.overhaul_enabled && channel_ != nullptr) {
-      if (passes_visibility_check(win)) {
-        kern::InteractionNotification note;
-        note.pid = owner->pid();
-        note.ts = kernel_.clock().now();
-        if (channel_->send_interaction(note).is_ok()) {
-          ++stats_.interaction_notifications;
-          c_notifications_->add();
-          trace.produced_notification = true;
-        }
-        // ACG comparison mode: a click inside a registered gadget also
-        // produces an op-specific grant notification.
-        if (event.type == EventType::kButtonPress) {
-          if (const auto op = acg_.gadget_hit(win, event.x, event.y);
-              op.has_value()) {
-            kern::AcgGrantNotification grant;
-            grant.pid = owner->pid();
-            grant.op = *op;
-            grant.ts = kernel_.clock().now();
-            (void)channel_->send_acg_grant(grant);
-          }
-        }
-      } else {
-        ++stats_.clickjack_suppressed;
-        c_clickjack_->add();
-        trace.clickjack_suppressed = true;
-      }
-    }
-  } else {
+  const bool hardware = event.provenance == Provenance::kHardware;
+  if (!hardware) {
     ++stats_.synthetic_events;
     c_synthetic_events_->add();
   }
-
-  input_trace_.push_back(trace);
-  if (input_trace_.size() > kInputTraceCapacity) input_trace_.pop_front();
+  bool counted = false;
+  if (event.type == EventType::kKeyPress ||
+      event.type == EventType::kButtonPress) {
+    counted = report_input(event.type == EventType::kKeyPress
+                               ? InputKind::kKey
+                               : InputKind::kButton,
+                           hardware, win, owner->pid());
+  }
 
   event.window = win.id();
   owner->enqueue(std::move(event));
+  return counted;
 }
 
 Status XServer::grab_keyboard(ClientId client_id, WindowId window_id) {
-  Window* win = window(window_id);
+  display::Surface* win = surface(window_id);
   if (win == nullptr) return Status(Code::kBadWindow, "grab: no such window");
   if (win->owner() != client_id)
     return Status(Code::kBadAccess, "grab: not the owner");
@@ -305,7 +119,7 @@ Status XServer::grab_keyboard(ClientId client_id, WindowId window_id) {
 }
 
 Status XServer::ungrab_keyboard(ClientId client_id) {
-  Window* win = window(keyboard_grab_);
+  display::Surface* win = surface(keyboard_grab_);
   if (win == nullptr || win->owner() != client_id)
     return Status(Code::kBadAccess, "ungrab: not the grabber");
   keyboard_grab_ = kNoWindow;
@@ -313,7 +127,7 @@ Status XServer::ungrab_keyboard(ClientId client_id) {
 }
 
 Status XServer::grab_pointer(ClientId client_id, WindowId window_id) {
-  Window* win = window(window_id);
+  display::Surface* win = surface(window_id);
   if (win == nullptr) return Status(Code::kBadWindow, "grab: no such window");
   if (win->owner() != client_id)
     return Status(Code::kBadAccess, "grab: not the owner");
@@ -324,7 +138,7 @@ Status XServer::grab_pointer(ClientId client_id, WindowId window_id) {
 }
 
 Status XServer::ungrab_pointer(ClientId client_id) {
-  Window* win = window(pointer_grab_);
+  display::Surface* win = surface(pointer_grab_);
   if (win == nullptr || win->owner() != client_id)
     return Status(Code::kBadAccess, "ungrab: not the grabber");
   pointer_grab_ = kNoWindow;
@@ -336,34 +150,31 @@ void XServer::hardware_button_press(int x, int y, int button) {
   // clients. Only this path carries hardware provenance.
   if (prompts_.handle_click(x, y, /*hardware_provenance=*/true)) return;
   // An active pointer grab intercepts the click regardless of position.
-  if (pointer_grab_ != kNoWindow) {
-    if (Window* grabber = window(pointer_grab_); grabber != nullptr) {
-      XEvent ev;
-      ev.type = EventType::kButtonPress;
-      ev.provenance = Provenance::kHardware;
-      ev.button = button;
-      ev.x = x;
-      ev.y = y;
-      deliver_input(std::move(ev), *grabber);
-      return;
-    }
+  display::Surface* win =
+      pointer_grab_ != kNoWindow ? surface(pointer_grab_) : nullptr;
+  if (win == nullptr) {
+    win = surface_at(x, y);
+    if (win == nullptr) return;  // click on bare root: no client target
+    focus_ = win->id();
   }
-  Window* win = window_at(x, y);
-  if (win == nullptr) return;  // click on bare root: no client target
-  focus_ = win->id();
   XEvent ev;
   ev.type = EventType::kButtonPress;
   ev.provenance = Provenance::kHardware;
   ev.button = button;
   ev.x = x;
   ev.y = y;
-  deliver_input(std::move(ev), *win);
+  if (!deliver_input(std::move(ev), *win)) return;
+  // ACG comparison mode: a counted click inside a registered gadget also
+  // produces an op-specific grant notification.
+  if (const auto op = acg_.gadget_hit(*win, x, y); op.has_value())
+    grant_gadget(*win, *op);
 }
 
 void XServer::hardware_key_press(int keycode) {
   // An active keyboard grab steals keystrokes from the focus window.
-  Window* win = keyboard_grab_ != kNoWindow ? window(keyboard_grab_)
-                                            : window(focus_);
+  display::Surface* win = keyboard_grab_ != kNoWindow
+                              ? surface(keyboard_grab_)
+                              : surface(focus_);
   if (win == nullptr) return;
   if (keyboard_grab_ == kNoWindow && !win->mapped()) return;
   XEvent ev;
@@ -376,7 +187,7 @@ void XServer::hardware_key_press(int keycode) {
 Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
   if (client(sender) == nullptr)
     return Status(Code::kNotFound, "send_event: no such client");
-  Window* win = window(target);
+  display::Surface* win = surface(target);
   if (win == nullptr) return Status(Code::kBadWindow, "send_event: bad window");
 
   // Wire format: events sent with SendEvent carry the synthetic flag — this
@@ -386,13 +197,13 @@ Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
 
   // Overhaul's clipboard-protocol policing (§IV-A): block SendEvents "that
   // can break the copy & paste protocol".
-  if (config_.overhaul_enabled) {
+  if (overhaul_enabled()) {
     if (!selections_.send_event_allowed(sender, event)) {
       ++stats_.blocked_send_events;
       c_send_event_drops_->add();
-      if (kernel_.obs().tracer.enabled()) {
+      if (obs().tracer.enabled()) {
         XClient* s = client(sender);
-        kernel_.obs().tracer.instant(
+        obs().tracer.instant(
             "SendEvent::blocked", "x11", s != nullptr ? s->pid() : 0,
             {{"type_code", std::to_string(static_cast<int>(event.type))}});
       }
@@ -420,7 +231,7 @@ Status XServer::xtest_fake_button(ClientId sender, int x, int y) {
   // swallowed and counted, never able to decide the prompt.
   if (prompts_.handle_click(x, y, /*hardware_provenance=*/false))
     return Status::ok();
-  Window* win = window_at(x, y);
+  display::Surface* win = surface_at(x, y);
   if (win == nullptr) return Status::ok();
   focus_ = win->id();
   XEvent ev;
@@ -438,7 +249,7 @@ Status XServer::xtest_fake_button(ClientId sender, int x, int y) {
 Status XServer::xtest_fake_key(ClientId sender, int keycode) {
   if (client(sender) == nullptr)
     return Status(Code::kNotFound, "xtest: no such client");
-  Window* win = window(focus_);
+  display::Surface* win = surface(focus_);
   if (win == nullptr || !win->mapped()) return Status::ok();
   XEvent ev;
   ev.type = EventType::kKeyPress;
@@ -446,23 +257,6 @@ Status XServer::xtest_fake_key(ClientId sender, int keycode) {
   ev.keycode = keycode;
   deliver_input(std::move(ev), *win);
   return Status::ok();
-}
-
-// --- Overhaul liaison ------------------------------------------------------------------
-
-Decision XServer::ask_monitor(ClientId client_id, util::Op op,
-                              std::string_view detail) {
-  if (!config_.overhaul_enabled) return Decision::kGrant;  // unmodified server
-  XClient* c = client(client_id);
-  if (c == nullptr || channel_ == nullptr) return Decision::kDeny;
-
-  kern::PermissionQuery query;
-  query.pid = c->pid();
-  query.op = op;
-  query.op_time = kernel_.clock().now();
-  query.detail.assign(detail.data(), detail.size());
-  auto reply = channel_->query_permission(query);
-  return reply.is_ok() ? reply.value().decision : Decision::kDeny;
 }
 
 }  // namespace overhaul::x11

@@ -81,7 +81,7 @@ TEST_F(AppModelsTest, SpywareAttemptCountersTrackFailures) {
 
 TEST_F(AppModelsTest, SpywareWindowNeverMapped) {
   auto spy = Spyware::install(sys_).value();
-  const x11::Window* win = sys_.xserver().window(spy->window());
+  const display::Surface* win = sys_.xserver().surface(spy->window());
   ASSERT_NE(win, nullptr);
   EXPECT_FALSE(win->mapped());
 }
@@ -92,9 +92,9 @@ TEST_F(AppModelsTest, ScreenshotDelayedCallbackOrdering) {
   sys_.input().click(cx, cy);
   std::vector<int> order;
   tool->capture_after(sim::Duration::seconds(1),
-                      [&](util::Result<x11::Image>) { order.push_back(1); });
+                      [&](util::Result<display::Image>) { order.push_back(1); });
   tool->capture_after(sim::Duration::seconds(3),
-                      [&](util::Result<x11::Image>) { order.push_back(3); });
+                      [&](util::Result<display::Image>) { order.push_back(3); });
   sys_.advance(sim::Duration::seconds(5));
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
@@ -110,7 +110,7 @@ TEST_F(AppModelsTest, LauncherSpawnedShotIsChildProcess) {
 TEST_F(AppModelsTest, GuiAppClickPointInsideWindow) {
   auto pm = PasswordManagerApp::launch(sys_).value();
   auto [cx, cy] = pm->click_point();
-  const auto& r = sys_.xserver().window(pm->window())->rect();
+  const auto& r = sys_.xserver().surface(pm->window())->rect();
   EXPECT_TRUE(r.contains(cx, cy));
 }
 

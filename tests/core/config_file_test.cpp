@@ -76,6 +76,28 @@ TEST(ConfigFile, MalformedValuesRejectedWithLineNumbers) {
   EXPECT_NE(third_line.status().message().find("line 3"), std::string::npos);
 }
 
+// A duration whose nanoseconds overflow int64 fails closed instead of
+// wrapping: 18446747074158 ms once parsed as a δ of about 3000 s, and
+// 18446744073710 ms as a 0.45 ms re-arm wait.
+TEST(ConfigFile, DurationsPastTheNanosecondRangeRejected) {
+  for (const char* line : {"delta_ms = 18446747074158\n",
+                           "shm_rearm_wait_ms = 18446744073710\n",
+                           "delta_ms = 9223372036855\n",
+                           "visibility_threshold_ms = 9223372036855\n",
+                           "alert_duration_ms = 9223372036855\n"}) {
+    auto cfg = parse_config(line);
+    ASSERT_FALSE(cfg.is_ok()) << line;
+    EXPECT_EQ(cfg.code(), Code::kInvalidArgument);
+    EXPECT_NE(cfg.status().message().find("longest duration"),
+              std::string::npos)
+        << cfg.status().message();
+  }
+  // The largest representable value is still accepted.
+  auto max = parse_config("alert_duration_ms = 9223372036854\n");
+  ASSERT_TRUE(max.is_ok()) << max.status().message();
+  EXPECT_EQ(max.value().alert_duration, sim::Duration::millis(9223372036854));
+}
+
 TEST(ConfigFile, CrossFieldValidationWaitVsDelta) {
   // §IV-B: the wait must be sufficiently shorter than δ.
   auto cfg = parse_config("delta_ms = 400\nshm_rearm_wait_ms = 500\n");

@@ -30,21 +30,21 @@ TEST(SystemTest, BaselineBootSkipsHelperAndMap) {
 
 TEST(SystemTest, XServerAuthenticatedAtBoot) {
   OverhaulSystem sys;
-  EXPECT_NE(sys.xserver().pid(), kern::kNoPid);
-  const auto* xorg = sys.kernel().processes().lookup(sys.xserver().pid());
+  EXPECT_NE(sys.xserver().server_pid(), kern::kNoPid);
+  const auto* xorg = sys.kernel().processes().lookup(sys.xserver().server_pid());
   ASSERT_NE(xorg, nullptr);
   EXPECT_EQ(xorg->exe_path, "/usr/lib/xorg/Xorg");
 }
 
 TEST(SystemTest, LaunchGuiAppWiring) {
   OverhaulSystem sys;
-  auto app = sys.launch_gui_app("/usr/bin/foo", "foo", x11::Rect{5, 5, 50, 40});
+  auto app = sys.launch_gui_app("/usr/bin/foo", "foo", display::Rect{5, 5, 50, 40});
   ASSERT_TRUE(app.is_ok());
   EXPECT_NE(sys.kernel().processes().lookup_live(app.value().pid), nullptr);
   x11::XClient* client = sys.xserver().client(app.value().client);
   ASSERT_NE(client, nullptr);
   EXPECT_EQ(client->pid(), app.value().pid);
-  x11::Window* win = sys.xserver().window(app.value().window);
+  display::Surface* win = sys.xserver().surface(app.value().window);
   ASSERT_NE(win, nullptr);
   EXPECT_TRUE(win->mapped());
 }
@@ -52,7 +52,7 @@ TEST(SystemTest, LaunchGuiAppWiring) {
 TEST(SystemTest, SettleMakesWindowInteractionEligible) {
   OverhaulSystem sys;
   auto settled =
-      sys.launch_gui_app("/usr/bin/a", "a", x11::Rect{0, 0, 50, 50}, true);
+      sys.launch_gui_app("/usr/bin/a", "a", display::Rect{0, 0, 50, 50}, true);
   ASSERT_TRUE(settled.is_ok());
   sys.input().click(10, 10);
   EXPECT_FALSE(sys.kernel()
@@ -62,7 +62,7 @@ TEST(SystemTest, SettleMakesWindowInteractionEligible) {
 
   OverhaulSystem sys2;
   auto fresh =
-      sys2.launch_gui_app("/usr/bin/a", "a", x11::Rect{0, 0, 50, 50}, false);
+      sys2.launch_gui_app("/usr/bin/a", "a", display::Rect{0, 0, 50, 50}, false);
   ASSERT_TRUE(fresh.is_ok());
   sys2.input().click(10, 10);
   EXPECT_TRUE(sys2.kernel()
@@ -95,7 +95,7 @@ TEST(SystemTest, ConfigThreadsThroughToSubsystems) {
   EXPECT_EQ(sys.xserver().config().visibility_threshold,
             sim::Duration::millis(99));
   EXPECT_FALSE(sys.kernel().monitor().ptrace_protect());
-  EXPECT_EQ(sys.xserver().alerts().shared_secret_for_verification(), "my-dog");
+  EXPECT_EQ(sys.xserver().alert_overlay().shared_secret_for_verification(), "my-dog");
 }
 
 TEST(SystemTest, GrantAlwaysConfigExercisesPathWithoutDenials) {

@@ -14,7 +14,7 @@ class TimelineTest : public ::testing::Test {
 
 TEST_F(TimelineTest, CapturesInputDecisionAlertSequence) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   auto fd = sys_.kernel().sys_open(app.pid, OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
@@ -40,7 +40,7 @@ TEST_F(TimelineTest, CapturesInputDecisionAlertSequence) {
 
 TEST_F(TimelineTest, MarksNotificationProducingInputs) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   const auto text = render_timeline(build_timeline(sys_));
   EXPECT_NE(text.find("[N sent]"), std::string::npos);
@@ -50,7 +50,7 @@ TEST_F(TimelineTest, MarksNotificationProducingInputs) {
 TEST_F(TimelineTest, DistinguishesSyntheticAndSuppressed) {
   auto victim = sys_.launch_gui_app("/usr/bin/victim", "victim").value();
   auto fresh = sys_.launch_gui_app("/home/user/.trap", "trap",
-                                   x11::Rect{300, 300, 50, 50}, false)
+                                   display::Rect{300, 300, 50, 50}, false)
                    .value();
   (void)victim;
   // Synthetic: XTEST click.
@@ -79,7 +79,7 @@ TEST_F(TimelineTest, DeniedSpywareShowsDenyAndAlert) {
 
 TEST_F(TimelineTest, SortedByTime) {
   auto app = sys_.launch_gui_app("/usr/bin/a", "a").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   for (int i = 0; i < 5; ++i) {
     sys_.input().click(r.x + 1, r.y + 1);
     sys_.advance(sim::Duration::seconds(3));

@@ -394,7 +394,7 @@ TEST(FleetMetrics, SeatPixelBytesCountOnlyDrawnWindows) {
 
     core::OverhaulSystem& sys = seat.system();
     if (mix == BackendMix::kX11) {
-      sys.xserver().window(drawn.window)->pixels()[0] = 0xFFFFFFFFu;
+      sys.xserver().surface(drawn.window)->pixels()[0] = 0xFFFFFFFFu;
     } else {
       sys.compositor().surface(drawn.window)->pixels()[0] = 0xFFFFFFFFu;
     }

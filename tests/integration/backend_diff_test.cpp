@@ -6,8 +6,12 @@
 //
 // The comparison covers the full audit tuple except the free-form `detail`
 // string (which legitimately names protocol objects: "root"/"window N" vs
-// "output"/"surface N") plus the monitor's decision counters and the alert
-// overlay history length. Scripts that capture the screen paint each app's
+// "output"/"surface N"), the monitor's decision counters, the alert overlay
+// history length, and the display core's input trace (time, kind, receiver,
+// whether it was synthetic, notified or suppressed — not the surface id,
+// which each protocol numbers its own way) with its
+// <backend>.input.{hardware_events,notifications,clickjack_suppressed}
+// counters. Scripts that capture the screen paint each app's
 // surface a distinct colour first, and every full-screen capture must be
 // byte-identical across the backends.
 #include <gtest/gtest.h>
@@ -46,6 +50,10 @@ struct DecisionStream {
   std::uint64_t queries = 0;
   std::uint64_t notifications = 0;
   std::uint64_t alerts = 0;
+  std::vector<std::string> inputs;
+  std::uint64_t hardware_events = 0;
+  std::uint64_t input_notifications = 0;
+  std::uint64_t clickjack_suppressed = 0;
 
   bool operator==(const DecisionStream&) const = default;
 };
@@ -65,6 +73,21 @@ DecisionStream snapshot(OverhaulSystem& sys) {
   s.queries = m.counter_value("monitor.queries");
   s.notifications = m.counter_value("monitor.notifications");
   s.alerts = sys.display().alert_overlay().shown_count();
+  for (const auto& t : sys.display().input_trace()) {
+    s.inputs.push_back(
+        std::to_string(t.time.ns) + "|" +
+        (t.kind == core::DisplayBackend::InputKind::kKey ? "key" : "button") +
+        "|" + std::to_string(t.receiver_pid) + "|" +
+        (t.synthetic ? "synthetic" : "hardware") + "|" +
+        (t.produced_notification ? "notified" : "-") + "|" +
+        (t.clickjack_suppressed ? "suppressed" : "-"));
+  }
+  const std::string input =
+      sys.display().backend_kind() == DisplayBackendKind::kX11 ? "x11.input."
+                                                               : "wl.input.";
+  s.hardware_events = m.counter_value(input + "hardware_events");
+  s.input_notifications = m.counter_value(input + "notifications");
+  s.clickjack_suppressed = m.counter_value(input + "clickjack_suppressed");
   return s;
 }
 
@@ -76,14 +99,7 @@ void click_into(OverhaulSystem& sys, const apps::GuiApp& app) {
 
 // The app's client drawing its whole surface one colour.
 void paint(OverhaulSystem& sys, const apps::GuiApp& app, std::uint32_t argb) {
-  switch (sys.display().backend_kind()) {
-    case DisplayBackendKind::kX11:
-      sys.xserver().window(app.window())->fill(argb);
-      break;
-    case DisplayBackendKind::kWayland:
-      sys.compositor().surface(app.window())->fill(argb);
-      break;
-  }
+  sys.display().surface(app.window())->fill(argb);
 }
 
 // The pixels of every full-screen capture a script took, in order.
@@ -116,6 +132,13 @@ void expect_backends_agree(
   EXPECT_EQ(x.queries, w.queries);
   EXPECT_EQ(x.notifications, w.notifications);
   EXPECT_EQ(x.alerts, w.alerts);
+  ASSERT_EQ(x.inputs.size(), w.inputs.size());
+  for (std::size_t i = 0; i < x.inputs.size(); ++i)
+    EXPECT_EQ(x.inputs[i], w.inputs[i]) << "input trace entry " << i;
+  EXPECT_FALSE(x.inputs.empty()) << "the script delivered no input";
+  EXPECT_EQ(x.hardware_events, w.hardware_events);
+  EXPECT_EQ(x.input_notifications, w.input_notifications);
+  EXPECT_EQ(x.clickjack_suppressed, w.clickjack_suppressed);
 }
 
 // --- the paper's flows -------------------------------------------------------
@@ -266,7 +289,7 @@ TEST(BackendDiff, InputForgeryMintsNoInteractionOnEitherBackend) {
                   .processes()
                   .lookup(w_victim->pid())
                   ->interaction_ts.is_never());
-  EXPECT_EQ(comp.stats().interaction_notifications, 0u);
+  EXPECT_EQ(comp.input_stats().interaction_notifications, 0u);
   EXPECT_EQ(on_wl.obs().metrics.counter_value("monitor.notifications"), 0u);
 }
 

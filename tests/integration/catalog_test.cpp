@@ -69,7 +69,7 @@ TEST(CatalogTest, DelayedScreenshotLimitation) {
   sys.input().click(cx, cy);
   bool denied = false;
   tool->capture_after(sim::Duration::seconds(10),
-                      [&](util::Result<x11::Image> img) {
+                      [&](util::Result<display::Image> img) {
                         denied = !img.is_ok();
                       });
   sys.advance(sim::Duration::seconds(11));
@@ -79,7 +79,7 @@ TEST(CatalogTest, DelayedScreenshotLimitation) {
   sys.input().click(cx, cy);
   bool granted = false;
   tool->capture_after(sim::Duration::seconds(1),
-                      [&](util::Result<x11::Image> img) {
+                      [&](util::Result<display::Image> img) {
                         granted = img.is_ok();
                       });
   sys.advance(sim::Duration::seconds(2));

@@ -43,7 +43,7 @@ TEST_F(FaultInjectionTest, XServerDeathFailsClosed) {
   // The display manager dies: no more interaction notifications can arrive,
   // so *everything* sensitive is denied — fail closed, not open.
   ASSERT_TRUE(
-      sys_.kernel().sys_kill(1, sys_.xserver().pid(), kern::Signal::kKill)
+      sys_.kernel().sys_kill(1, sys_.xserver().server_pid(), kern::Signal::kKill)
           .is_ok());
   auto app = sys_.launch_daemon("/usr/bin/rec", "rec").value();
   auto fd = sys_.kernel().sys_open(app, core::OverhaulSystem::mic_path(),
@@ -55,16 +55,16 @@ TEST_F(FaultInjectionTest, NewXServerCanReconnectAfterCrash) {
   // A replacement X server (same root-owned binary) authenticates and the
   // input-driven pipeline resumes.
   ASSERT_TRUE(
-      sys_.kernel().sys_kill(1, sys_.xserver().pid(), kern::Signal::kKill)
+      sys_.kernel().sys_kill(1, sys_.xserver().server_pid(), kern::Signal::kKill)
           .is_ok());
-  x11::XServer replacement(sys_.kernel(), sys_.config().xserver_config());
-  replacement.alerts().set_shared_secret(sys_.config().shared_secret);
+  x11::XServer replacement(sys_.kernel(), sys_.config().display_config());
+  replacement.alert_overlay().set_shared_secret(sys_.config().shared_secret);
   core::HardwareInputDriver input(replacement);
 
   auto pid = sys_.kernel().sys_spawn(1, "/usr/bin/rec", "rec").value();
-  auto client = replacement.connect_client(pid).value();
-  auto window = replacement.create_window(client, x11::Rect{0, 0, 80, 80}).value();
-  ASSERT_TRUE(replacement.map_window(client, window).is_ok());
+  auto client = replacement.attach_client(pid).value();
+  auto window = replacement.open_surface(client, display::Rect{0, 0, 80, 80}).value();
+  ASSERT_TRUE(replacement.show_surface(client, window).is_ok());
   sys_.advance(sys_.config().visibility_threshold + sim::Duration::millis(1));
   input.click(10, 10);
   auto fd = sys_.kernel().sys_open(pid, core::OverhaulSystem::mic_path(),
@@ -77,15 +77,15 @@ TEST_F(FaultInjectionTest, AppCrashMidTransferCleansUp) {
   // and the transfer disappear, and the next owner change works.
   auto src = sys_.launch_gui_app("/usr/bin/src", "src").value();
   auto dst = sys_.launch_gui_app("/usr/bin/dst", "dst",
-                                 x11::Rect{300, 0, 100, 100})
+                                 display::Rect{300, 0, 100, 100})
                  .value();
   auto& x = sys_.xserver();
-  const auto& rs = x.window(src.window)->rect();
+  const auto& rs = x.surface(src.window)->rect();
   sys_.input().click(rs.x + 5, rs.y + 5);
   ASSERT_TRUE(
       x.selections().set_selection_owner(src.client, "CLIPBOARD", src.window)
           .is_ok());
-  const auto& rd = x.window(dst.window)->rect();
+  const auto& rd = x.surface(dst.window)->rect();
   sys_.input().click(rd.x + 5, rd.y + 5);
   ASSERT_TRUE(x.selections()
                   .convert_selection(dst.client, "CLIPBOARD", dst.window, "P")
@@ -98,9 +98,9 @@ TEST_F(FaultInjectionTest, AppCrashMidTransferCleansUp) {
 
   // The owner can still serve future requests; a new paste works end to end.
   auto dst2 = sys_.launch_gui_app("/usr/bin/dst2", "dst2",
-                                  x11::Rect{500, 0, 100, 100})
+                                  display::Rect{500, 0, 100, 100})
                   .value();
-  const auto& r2 = x.window(dst2.window)->rect();
+  const auto& r2 = x.surface(dst2.window)->rect();
   sys_.input().click(r2.x + 5, r2.y + 5);
   EXPECT_TRUE(x.selections()
                   .convert_selection(dst2.client, "CLIPBOARD", dst2.window, "P")

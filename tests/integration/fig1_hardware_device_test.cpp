@@ -28,7 +28,7 @@ TEST_F(Fig1Test, ClickThenMicGranted) {
   EXPECT_TRUE(result.ok()) << result.mic.to_string() << " / "
                            << result.cam.to_string();
   // (6) V_{A,mic} and V_{A,cam} alerts were requested.
-  EXPECT_EQ(sys_.xserver().alerts().shown_count(), 2u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().shown_count(), 2u);
   skype->end_call();
 }
 
@@ -39,7 +39,7 @@ TEST_F(Fig1Test, NoClickMicDenied) {
   EXPECT_EQ(result.mic.code(), Code::kOverhaulDenied);
   EXPECT_EQ(result.cam.code(), Code::kOverhaulDenied);
   // Blocked accesses alert too (this is what the user study's task 2 shows).
-  EXPECT_EQ(sys_.xserver().alerts().shown_count(), 2u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().shown_count(), 2u);
 }
 
 TEST_F(Fig1Test, ClickThenWaitPastDeltaDenied) {
@@ -67,9 +67,9 @@ TEST_F(Fig1Test, InteractionWithOtherAppDoesNotAuthorize) {
   // S3: permissions follow the app the user actually touched.
   auto skype = VideoConfApp::launch(sys_).value();
   auto other = sys_.launch_gui_app("/usr/bin/editor", "editor",
-                                   x11::Rect{800, 600, 100, 100});
+                                   display::Rect{800, 600, 100, 100});
   ASSERT_TRUE(other.is_ok());
-  const auto& r = sys_.xserver().window(other.value().window)->rect();
+  const auto& r = sys_.xserver().surface(other.value().window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);  // user clicks the *editor*
   auto result = skype->start_call();
   EXPECT_EQ(result.mic.code(), Code::kOverhaulDenied);
@@ -79,7 +79,7 @@ TEST_F(Fig1Test, SyntheticClickDoesNotAuthorize) {
   // S2: a malicious client fakes a click on Skype's window via XTEST.
   auto skype = VideoConfApp::launch(sys_).value();
   auto mal = sys_.launch_gui_app("/home/user/mal", "mal",
-                                 x11::Rect{900, 700, 50, 50});
+                                 display::Rect{900, 700, 50, 50});
   ASSERT_TRUE(mal.is_ok());
   auto [cx, cy] = skype->click_point();
   ASSERT_TRUE(

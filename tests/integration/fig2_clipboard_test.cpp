@@ -22,7 +22,7 @@ class Fig2Test : public ::testing::Test {
   }
 
   void user_clicks(const apps::GuiApp& app) {
-    (void)sys_.xserver().raise_window(app.client(), app.window());
+    (void)sys_.xserver().raise_surface(app.client(), app.window());
     auto [cx, cy] = app.click_point();
     sys_.input().click(cx, cy);
   }
@@ -46,7 +46,7 @@ TEST_F(Fig2Test, UserDrivenCopyPasteWorks) {
   // alert overlay is shown for them (§V-C).
   EXPECT_EQ(sys_.audit().count(util::Op::kCopy, util::Decision::kGrant), 1u);
   EXPECT_EQ(sys_.audit().count(util::Op::kPaste, util::Decision::kGrant), 1u);
-  EXPECT_EQ(sys_.xserver().alerts().shown_count(), 0u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().shown_count(), 0u);
 }
 
 TEST_F(Fig2Test, BackgroundSnifferBlocked) {

@@ -56,7 +56,7 @@ TEST_F(Fig3Test, GrandchildAlsoInherits) {
   auto& k = sys_.kernel();
   auto wrapper = k.sys_spawn(run->pid(), "/usr/bin/sh-wrapper", "sh").value();
   auto shot_pid = k.sys_spawn(wrapper, "/usr/bin/shot", "shot").value();
-  auto client = sys_.xserver().connect_client(shot_pid).value();
+  auto client = sys_.xserver().attach_client(shot_pid).value();
   auto img = sys_.xserver().screen().get_image(client, x11::kRootWindow);
   EXPECT_TRUE(img.is_ok());
 }

@@ -20,16 +20,16 @@ class Fig6Test : public ::testing::Test {
 
   void SetUp() override {
     source_ = sys_.launch_gui_app("/usr/bin/source", "source",
-                                  x11::Rect{0, 0, 200, 200})
+                                  display::Rect{0, 0, 200, 200})
                   .value();
     target_ = sys_.launch_gui_app("/usr/bin/target", "target",
-                                  x11::Rect{400, 0, 200, 200})
+                                  display::Rect{400, 0, 200, 200})
                   .value();
   }
 
   void click(const core::OverhaulSystem::AppHandle& h) {
-    (void)x_.raise_window(h.client, h.window);
-    const auto& r = x_.window(h.window)->rect();
+    (void)x_.raise_surface(h.client, h.window);
+    const auto& r = x_.surface(h.window)->rect();
     sys_.input().click(r.x + 5, r.y + 5);
   }
 };

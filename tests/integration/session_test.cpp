@@ -33,8 +33,8 @@ TEST_F(SessionTest, SkypeAutostartProducesExactlyOneSpuriousAlert) {
   session_.add_autostart({"/usr/bin/dropbox", "dropbox", false});
   ASSERT_TRUE(session_.login().is_ok());
 
-  ASSERT_EQ(sys_.xserver().alerts().shown_count(), 1u);
-  const auto& alert = sys_.xserver().alerts().history()[0];
+  ASSERT_EQ(sys_.xserver().alert_overlay().shown_count(), 1u);
+  const auto& alert = sys_.xserver().alert_overlay().history()[0];
   EXPECT_EQ(alert.comm, "skype");
   EXPECT_EQ(alert.op, util::Op::kCamera);
   EXPECT_EQ(alert.decision, util::Decision::kDeny);
@@ -47,7 +47,7 @@ TEST_F(SessionTest, SubsequentVideoCallsStillWork) {
   auto skype = session_.find("skype");
 
   sys_.advance(sys_.config().visibility_threshold + sim::Duration::seconds(1));
-  const auto& r = sys_.xserver().window(skype.window)->rect();
+  const auto& r = sys_.xserver().surface(skype.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);
   auto fd = sys_.kernel().sys_open(skype.pid,
                                    core::OverhaulSystem::camera_path(),
@@ -61,7 +61,7 @@ TEST_F(SessionTest, FreshlyAutostartedWindowsNotClickEligible) {
   session_.add_autostart({"/usr/bin/app", "app", false});
   ASSERT_TRUE(session_.login().is_ok());
   auto app = session_.find("app");
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);
   EXPECT_TRUE(
       sys_.kernel().processes().lookup(app.pid)->interaction_ts.is_never());
@@ -100,7 +100,7 @@ TEST_F(SessionTest, BaselineLoginProbeSucceedsSilently) {
   DesktopSession session(base);
   session.add_autostart({"/usr/bin/skype", "skype", true});
   ASSERT_TRUE(session.login().is_ok());
-  EXPECT_EQ(base.xserver().alerts().shown_count(), 0u);
+  EXPECT_EQ(base.xserver().alert_overlay().shown_count(), 0u);
   EXPECT_EQ(base.audit().size(), 0u);  // unmodified system: nothing logged
 }
 

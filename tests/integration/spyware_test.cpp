@@ -60,7 +60,7 @@ TEST(SpywareTest, BlockedAttemptsRaiseAlertsForDeviceAndScreen) {
   (void)spy->try_record_microphone();
   (void)spy->try_sniff_clipboard(*pm, "x");
   // scr + mic alert; clipboard denial is logged, not alerted (§V-C).
-  EXPECT_EQ(sys.xserver().alerts().shown_count(), 2u);
+  EXPECT_EQ(sys.xserver().alert_overlay().shown_count(), 2u);
   EXPECT_GE(sys.audit().count(util::Decision::kDeny), 3u);
 }
 

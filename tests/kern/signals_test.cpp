@@ -75,7 +75,7 @@ TEST_F(SignalsTest, SignalToDeadProcessFails) {
 // aging while the process is stopped.
 TEST_F(SignalsTest, StopDoesNotFreezeInteractionAge) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   ASSERT_TRUE(k_.sys_kill(1, app.pid, Signal::kStop).is_ok());
   sys_.advance(sys_.config().delta + sim::Duration::millis(1));
@@ -88,19 +88,19 @@ TEST_F(SignalsTest, StopDoesNotFreezeInteractionAge) {
 // Spyware cannot silence the display manager: the X server runs as root.
 TEST_F(SignalsTest, SpywareCannotKillDisplayManager) {
   const Pid mal = user_proc("mal");
-  EXPECT_EQ(k_.sys_kill(mal, sys_.xserver().pid(), Signal::kKill).code(),
+  EXPECT_EQ(k_.sys_kill(mal, sys_.xserver().server_pid(), Signal::kKill).code(),
             Code::kPermissionDenied);
 }
 
 TEST_F(SignalsTest, KillDropsNetlinkChannel) {
   // Root killing the X server drops its channel; alerts stop flowing but
   // nothing crashes and denials still deny.
-  ASSERT_TRUE(k_.sys_kill(1, sys_.xserver().pid(), Signal::kKill).is_ok());
+  ASSERT_TRUE(k_.sys_kill(1, sys_.xserver().server_pid(), Signal::kKill).is_ok());
   const Pid mal = user_proc("mal");
   auto fd = k_.sys_open(mal, core::OverhaulSystem::mic_path(),
                         kern::OpenFlags::kRead);
   EXPECT_EQ(fd.code(), Code::kOverhaulDenied);
-  EXPECT_EQ(sys_.xserver().alerts().shown_count(), 0u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().shown_count(), 0u);
 }
 
 // Signal state lives in the task_struct, so it dies with the task. A task

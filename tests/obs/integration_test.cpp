@@ -31,7 +31,7 @@ class ObsIntegrationTest : public ::testing::Test {
 
 TEST_F(ObsIntegrationTest, Fig1DeviceFlowCountersMatchAudit) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
 
   // Click → grant.
   sys_.input().click(r.x + 2, r.y + 2);
@@ -60,15 +60,15 @@ TEST_F(ObsIntegrationTest, Fig1DeviceFlowCountersMatchAudit) {
 TEST_F(ObsIntegrationTest, Fig2ClipboardFlowCountersMatchAudit) {
   auto src = sys_.launch_gui_app("/usr/bin/src", "src").value();
   auto dst = sys_.launch_gui_app("/usr/bin/dst", "dst",
-                                 x11::Rect{300, 0, 200, 200}).value();
+                                 display::Rect{300, 0, 200, 200}).value();
   auto& sel = sys_.xserver().selections();
 
-  const auto& rs = sys_.xserver().window(src.window)->rect();
+  const auto& rs = sys_.xserver().surface(src.window)->rect();
   sys_.input().click(rs.x + 2, rs.y + 2);
   ASSERT_TRUE(sel.set_selection_owner(src.client, "CLIPBOARD", src.window)
                   .is_ok());
 
-  const auto& rd = sys_.xserver().window(dst.window)->rect();
+  const auto& rd = sys_.xserver().surface(dst.window)->rect();
   sys_.input().click(rd.x + 2, rd.y + 2);
   ASSERT_TRUE(sel.convert_selection(dst.client, "CLIPBOARD", dst.window, "P")
                   .is_ok());
@@ -115,7 +115,7 @@ TEST_F(ObsIntegrationTest, Fig4BrowserShmFlowCountersMatchAudit) {
 TEST_F(ObsIntegrationTest, PipeStampsCounted) {
   auto& k = sys_.kernel();
   auto app = sys_.launch_gui_app("/usr/bin/term", "term").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   auto fds = k.sys_pipe(app.pid).value();
   ASSERT_TRUE(k.sys_write(app.pid, fds.second, "hello").is_ok());
@@ -135,7 +135,7 @@ TEST_F(ObsIntegrationTest, SchedulerDepthGaugeTracksQueue) {
 
 TEST_F(ObsIntegrationTest, SessionTraceExportsAsValidChromeJson) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 2, r.y + 2);
   auto fd = sys_.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
@@ -153,7 +153,7 @@ TEST_F(ObsIntegrationTest, TraceDisabledByConfig) {
   cfg.trace = false;
   core::OverhaulSystem quiet(cfg);
   auto app = quiet.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = quiet.xserver().window(app.window)->rect();
+  const auto& r = quiet.xserver().surface(app.window)->rect();
   quiet.input().click(r.x + 2, r.y + 2);
   (void)quiet.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                 kern::OpenFlags::kRead);

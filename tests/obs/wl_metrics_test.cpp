@@ -67,13 +67,14 @@ TEST_F(WlMetricsTest, Fig2FlowCountersMatchAuditLog) {
   EXPECT_EQ(counter("wl.clipboard.pastes_denied"), 1u);
 
   // Input-path counters agree with the compositor's own stats.
-  const auto& stats = sys_->compositor().stats();
+  const auto& stats = sys_->compositor().input_stats();
   EXPECT_EQ(counter("wl.input.hardware_events"), stats.hardware_events);
   EXPECT_EQ(counter("wl.input.notifications"),
             stats.interaction_notifications);
   EXPECT_EQ(counter("wl.input.clickjack_suppressed"),
             stats.clickjack_suppressed);
-  EXPECT_EQ(counter("wl.input.forged_serials"), stats.forged_serials);
+  EXPECT_EQ(counter("wl.input.forged_serials"),
+            sys_->compositor().stats().forged_serials);
   EXPECT_EQ(counter("wl.input.hardware_events"), 2u);
   EXPECT_EQ(counter("wl.input.forged_serials"), 1u);
   // Every notification the compositor sent arrived at the monitor.

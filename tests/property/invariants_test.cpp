@@ -27,11 +27,11 @@ TEST_P(InvariantSweep, GrantsAlwaysCorrelatedWithFreshInput) {
   for (int i = 0; i < 4; ++i) {
     gui.push_back(sys.launch_gui_app("/usr/bin/app" + std::to_string(i),
                                      "app" + std::to_string(i),
-                                     x11::Rect{i * 150, i * 120, 120, 100})
+                                     display::Rect{i * 150, i * 120, 120, 100})
                       .value());
   }
   auto spy_pid = sys.launch_daemon("/home/user/.spy", "spy").value();
-  auto spy_client = sys.xserver().connect_client(spy_pid).value();
+  auto spy_client = sys.xserver().attach_client(spy_pid).value();
 
   sim::Timestamp last_hw_input = sim::Timestamp::never();
 
@@ -40,8 +40,8 @@ TEST_P(InvariantSweep, GrantsAlwaysCorrelatedWithFreshInput) {
     if (roll < 30) {
       // The user clicks a random app window.
       const auto& h = gui[rng.next_below(gui.size())];
-      (void)sys.xserver().raise_window(h.client, h.window);
-      const auto& r = sys.xserver().window(h.window)->rect();
+      (void)sys.xserver().raise_surface(h.client, h.window);
+      const auto& r = sys.xserver().surface(h.window)->rect();
       sys.input().click(r.x + 2, r.y + 2);
       last_hw_input = sys.clock().now();
     } else if (roll < 55) {
@@ -92,7 +92,7 @@ TEST_P(InvariantSweep, GrantsAlwaysCorrelatedWithFreshInput) {
       ++alertable;
     }
   }
-  EXPECT_EQ(sys.xserver().alerts().shown_count(), alertable);
+  EXPECT_EQ(sys.xserver().alert_overlay().shown_count(), alertable);
 }
 
 TEST_P(InvariantSweep, PropagationNeverManufacturesFreshness) {
@@ -120,7 +120,7 @@ TEST_P(InvariantSweep, PropagationNeverManufacturesFreshness) {
     const std::size_t i = rng.next_below(pids.size());
     auto* task = k.processes().lookup(pids[i]);
     if (roll < 15) {
-      const auto& r = sys.xserver().window(gui.window)->rect();
+      const auto& r = sys.xserver().surface(gui.window)->rect();
       sys.input().click(r.x + 2, r.y + 2);
       last_hw_input = sys.clock().now();
     } else if (roll < 40) {
@@ -154,7 +154,7 @@ TEST_P(InvariantSweep, PtyChainGrantIffWithinDelta) {
   auto shell = k.sys_spawn(term.pid, "/bin/bash", "bash").value();
   k.processes().lookup(shell)->interaction_ts = sim::Timestamp::never();
   auto slave_fd = k.sys_open(shell, pt.second, kern::OpenFlags::kReadWrite).value();
-  const auto& r = sys.xserver().window(term.window)->rect();
+  const auto& r = sys.xserver().surface(term.window)->rect();
 
   for (int trial = 0; trial < 60; ++trial) {
     // The user types; the terminal forwards the line immediately.
@@ -219,7 +219,7 @@ TEST_P(InvariantSweep, ClipboardDataIntegrityUnderChurn) {
   apps::PasswordManagerApp* current_owner = nullptr;
 
   const auto click = [&](const apps::GuiApp& app) {
-    (void)x.raise_window(app.client(), app.window());
+    (void)x.raise_surface(app.client(), app.window());
     auto [cx, cy] = app.click_point();
     sys.input().click(cx, cy);
   };
@@ -273,7 +273,7 @@ TEST_P(InvariantSweep, XProtocolFuzzPreservesInvariants) {
   for (int i = 0; i < 3; ++i) {
     Actor a{sys.launch_gui_app("/usr/bin/f" + std::to_string(i),
                                "f" + std::to_string(i),
-                               x11::Rect{i * 100, i * 80, 120, 100})
+                               display::Rect{i * 100, i * 80, 120, 100})
                 .value(),
             {}};
     a.windows.push_back(a.handle.window);
@@ -285,24 +285,24 @@ TEST_P(InvariantSweep, XProtocolFuzzPreservesInvariants) {
     const auto cid = actor.handle.client;
     switch (rng.next_below(14)) {
       case 0: {
-        auto w = x.create_window(
-            cid, x11::Rect{static_cast<int>(rng.next_below(900)),
+        auto w = x.open_surface(
+            cid, display::Rect{static_cast<int>(rng.next_below(900)),
                            static_cast<int>(rng.next_below(700)), 60, 40});
         if (w.is_ok()) actor.windows.push_back(w.value());
         break;
       }
       case 1:
-        (void)x.map_window(cid,
+        (void)x.show_surface(cid,
                            actor.windows[rng.next_below(actor.windows.size())]);
         break;
       case 2:
-        (void)x.unmap_window(
+        (void)x.hide_surface(
             cid, actor.windows[rng.next_below(actor.windows.size())]);
         break;
       case 3:
-        (void)x.configure_window(
+        (void)x.configure_surface(
             cid, actor.windows[rng.next_below(actor.windows.size())],
-            x11::Rect{static_cast<int>(rng.next_below(900)),
+            display::Rect{static_cast<int>(rng.next_below(900)),
                       static_cast<int>(rng.next_below(700)),
                       1 + static_cast<int>(rng.next_below(200)),
                       1 + static_cast<int>(rng.next_below(200))});
@@ -381,7 +381,7 @@ TEST_P(DeltaSweep, GrantWindowMatchesDelta) {
   cfg.delta = sim::Duration::millis(GetParam());
   core::OverhaulSystem sys(cfg);
   auto app = sys.launch_gui_app("/usr/bin/a", "a").value();
-  const auto& r = sys.xserver().window(app.window)->rect();
+  const auto& r = sys.xserver().surface(app.window)->rect();
 
   // Just inside the window: granted.
   sys.input().click(r.x + 1, r.y + 1);

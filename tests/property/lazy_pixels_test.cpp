@@ -332,7 +332,7 @@ class Scene {
       case 7:  // X11: the root window is the background
         if (rng_.chance(0.5)) {
           const std::uint32_t c = random_colour(rng_);
-          x_->window(x11::kRootWindow)->fill(c);
+          x_->surface(x11::kRootWindow)->fill(c);
           Pixels& root = eager_.at(x11::kRootWindow);
           std::fill(root.begin(), root.end(), c);
         } else {
@@ -390,17 +390,12 @@ class Scene {
   }
 
   void fill(std::uint32_t id, std::uint32_t c) {
-    if (x_ != nullptr) {
-      x_->window(id)->fill(c);
-    } else {
-      wl_->surface(id)->fill(c);
-    }
+    sys_.display().surface(id)->fill(c);
   }
 
   // A client drawing a few pixels through the mutable accessor.
   void draw(std::uint32_t id) {
-    const std::span<std::uint32_t> live =
-        x_ != nullptr ? x_->window(id)->pixels() : wl_->surface(id)->pixels();
+    const std::span<std::uint32_t> live = sys_.display().surface(id)->pixels();
     Pixels& px = eager_.at(id);
     for (int k = 0; k < 8; ++k) {
       const std::size_t i = rng_.next_below(live.size());
@@ -410,30 +405,24 @@ class Scene {
 
   void configure(const core::OverhaulSystem::AppHandle& app, display::Rect r) {
     const util::Status s =
-        x_ != nullptr ? x_->configure_window(app.client, app.window, r)
-                      : wl_->configure_surface(app.client, app.window, r);
+        sys_.display().configure_surface(app.client, app.window, r);
     ASSERT_TRUE(s.is_ok()) << s.message();
   }
 
   void unmap(const core::OverhaulSystem::AppHandle& app) {
-    const util::Status s = x_ != nullptr
-                               ? x_->unmap_window(app.client, app.window)
-                               : wl_->unmap_surface(app.client, app.window);
+    const util::Status s =
+        sys_.display().hide_surface(app.client, app.window);
     ASSERT_TRUE(s.is_ok()) << s.message();
   }
 
   void raise(const core::OverhaulSystem::AppHandle& app) {
-    (void)(x_ != nullptr ? x_->raise_window(app.client, app.window)
-                         : wl_->raise_surface(app.client, app.window));
+    (void)sys_.display().raise_surface(app.client, app.window);
   }
 
   void toggle_hidden(const core::OverhaulSystem::AppHandle& app) {
-    const util::Status s =
-        x_ != nullptr
-            ? x_->set_transparent(app.client, app.window,
-                                  !x_->window(app.window)->transparent())
-            : wl_->set_input_only(app.client, app.window,
-                                  !wl_->surface(app.window)->input_only());
+    core::DisplayBackend& display = sys_.display();
+    const util::Status s = display.set_input_only(
+        app.client, app.window, !display.surface(app.window)->input_only());
     ASSERT_TRUE(s.is_ok()) << s.message();
   }
 
@@ -479,15 +468,9 @@ class Scene {
   [[nodiscard]] Pixels reference_screen() {
     Pixels out = x_ != nullptr ? eager_.at(x11::kRootWindow)
                                : Pixels(kScreenW * kScreenH, 0u);
-    const std::vector<std::uint32_t>& order =
-        x_ != nullptr ? x_->stacking_order() : wl_->stacking_order();
-    for (const std::uint32_t id : order) {
-      const bool visible =
-          x_ != nullptr
-              ? id != x11::kRootWindow && x_->window(id)->mapped() &&
-                    !x_->window(id)->transparent()
-              : wl_->surface(id)->mapped() && !wl_->surface(id)->input_only();
-      if (!visible) continue;
+    for (const std::uint32_t id : sys_.display().stacking_order()) {
+      const display::Surface* surf = sys_.display().surface(id);
+      if (!surf->mapped() || surf->input_only()) continue;
       const display::Rect r = rect(id);
       const Pixels& px = eager_.at(id);
       for (int y = 0; y < r.height; ++y) {

@@ -20,7 +20,7 @@ class ThreatMatrix : public ::testing::Test {
   core::OverhaulSystem sys_;
 
   core::OverhaulSystem::AppHandle gui(const std::string& name,
-                                      x11::Rect r = {0, 0, 150, 150}) {
+                                      display::Rect r = {0, 0, 150, 150}) {
     return sys_.launch_gui_app("/usr/bin/" + name, name, r).value();
   }
 };
@@ -44,7 +44,7 @@ TEST_F(ThreatMatrix, S1_NoInteractionNoAccessAnyResource) {
 TEST_F(ThreatMatrix, S1_InteractionMustBeWithTheRequestingApp) {
   auto victim = gui("victim");
   auto bystander = gui("bystander", {400, 400, 150, 150});
-  const auto& r = sys_.xserver().window(bystander.window)->rect();
+  const auto& r = sys_.xserver().surface(bystander.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);  // user touches the bystander only
   EXPECT_EQ(sys_.kernel()
                 .sys_open(victim.pid, core::OverhaulSystem::mic_path(),
@@ -55,7 +55,7 @@ TEST_F(ThreatMatrix, S1_InteractionMustBeWithTheRequestingApp) {
 
 TEST_F(ThreatMatrix, S1_AccessMustBeTemporallyProximate) {
   auto app = gui("app");
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);
   sys_.advance(sys_.config().delta + sim::Duration::nanos(1));
   EXPECT_EQ(sys_.kernel()
@@ -100,7 +100,7 @@ TEST_F(ThreatMatrix, S2_XTestFloodCannotEscalate) {
                           kern::OpenFlags::kRead)
                 .code(),
             Code::kOverhaulDenied);
-  EXPECT_EQ(sys_.xserver().stats().interaction_notifications, 0u);
+  EXPECT_EQ(sys_.xserver().input_stats().interaction_notifications, 0u);
 }
 
 TEST_F(ThreatMatrix, S2_FakeNetlinkPeerCannotInjectNotifications) {
@@ -114,7 +114,7 @@ TEST_F(ThreatMatrix, S2_StaleNotificationReplayHarmless) {
   // Even the REAL display manager replaying an old timestamp cannot move a
   // process's record backward or forward beyond what the user actually did.
   auto app = gui("app");
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);
   const auto real_ts =
       sys_.kernel().processes().lookup(app.pid)->interaction_ts;
@@ -131,7 +131,7 @@ TEST_F(ThreatMatrix, S3_TransparentOverlayGainsNothing) {
   (void)victim;
   auto attacker = gui("attacker", {0, 0, 150, 150});
   ASSERT_TRUE(sys_.xserver()
-                  .set_transparent(attacker.client, attacker.window, true)
+                  .set_input_only(attacker.client, attacker.window, true)
                   .is_ok());
   sys_.advance(sim::Duration::minutes(5));
   sys_.input().click(10, 10);  // lands on the invisible overlay
@@ -147,11 +147,11 @@ TEST_F(ThreatMatrix, S3_FlashMappedWindowGainsNothing) {
   (void)victim;
   auto attacker = gui("attacker", {0, 0, 150, 150});
   ASSERT_TRUE(
-      sys_.xserver().unmap_window(attacker.client, attacker.window).is_ok());
+      sys_.xserver().hide_surface(attacker.client, attacker.window).is_ok());
   sys_.advance(sim::Duration::minutes(5));
   // Pop over right before the user's click lands.
   ASSERT_TRUE(
-      sys_.xserver().map_window(attacker.client, attacker.window).is_ok());
+      sys_.xserver().show_surface(attacker.client, attacker.window).is_ok());
   sys_.input().click(10, 10);
   EXPECT_TRUE(sys_.kernel()
                   .processes()
@@ -162,7 +162,7 @@ TEST_F(ThreatMatrix, S3_FlashMappedWindowGainsNothing) {
 TEST_F(ThreatMatrix, S3_BackgroundProcessCannotRideForeignInteractions) {
   auto editor = gui("editor");
   auto spy = apps::Spyware::install(sys_).value();
-  const auto& r = sys_.xserver().window(editor.window)->rect();
+  const auto& r = sys_.xserver().surface(editor.window)->rect();
   for (int i = 0; i < 20; ++i) {
     sys_.input().click(r.x + 3, r.y + 3);
     EXPECT_TRUE(spy->try_record_microphone().is_policy_denial());
@@ -201,9 +201,9 @@ TEST_F(ThreatMatrix, S4_EveryBlockedSensitiveAccessAlerts) {
   auto spy = apps::Spyware::install(sys_).value();
   (void)spy->try_record_microphone();
   (void)spy->try_screenshot();
-  ASSERT_EQ(sys_.xserver().alerts().shown_count(), 2u);
-  for (const auto& alert : sys_.xserver().alerts().history()) {
-    EXPECT_TRUE(sys_.xserver().alerts().is_authentic(alert));
+  ASSERT_EQ(sys_.xserver().alert_overlay().shown_count(), 2u);
+  for (const auto& alert : sys_.xserver().alert_overlay().history()) {
+    EXPECT_TRUE(sys_.xserver().alert_overlay().is_authentic(alert));
     EXPECT_EQ(alert.comm, "spyd");
   }
 }
@@ -215,10 +215,10 @@ TEST_F(ThreatMatrix, S4_ClientWindowsCannotCarrySecret) {
   (void)spy->try_record_microphone();
   auto attacker = gui("fakealert", {0, 0, 1024, 768});
   (void)attacker;
-  EXPECT_EQ(sys_.xserver().alerts().active(sys_.clock().now()).size(), 1u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().active(sys_.clock().now()).size(), 1u);
   display::Alert forged;
   forged.text = "spyd is recording from the microphone";
-  EXPECT_FALSE(sys_.xserver().alerts().is_authentic(forged));
+  EXPECT_FALSE(sys_.xserver().alert_overlay().is_authentic(forged));
 }
 
 TEST_F(ThreatMatrix, S4_AlertsNameTheActualAccessor) {
@@ -226,14 +226,14 @@ TEST_F(ThreatMatrix, S4_AlertsNameTheActualAccessor) {
   // the resource (Shot), not the one the user touched (Run) — why V_{A,op}
   // comes from the kernel (§III-C step 6).
   auto run = gui("run");
-  const auto& r = sys_.xserver().window(run.window)->rect();
+  const auto& r = sys_.xserver().surface(run.window)->rect();
   sys_.input().click(r.x + 5, r.y + 5);
   auto shot = sys_.kernel().sys_spawn(run.pid, "/usr/bin/shot", "shot").value();
   auto fd = sys_.kernel().sys_open(shot, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
   ASSERT_TRUE(fd.is_ok());
-  ASSERT_EQ(sys_.xserver().alerts().shown_count(), 1u);
-  EXPECT_EQ(sys_.xserver().alerts().history()[0].comm, "shot");
+  ASSERT_EQ(sys_.xserver().alert_overlay().shown_count(), 1u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().history()[0].comm, "shot");
 }
 
 // --- cross-cutting: the audit log is tamper-free from userspace ------------------

@@ -35,10 +35,10 @@ class WlCompositorTest : public ::testing::Test {
 
 TEST_F(WlCompositorTest, BootsTheWaylandBackendBehindTheSeam) {
   EXPECT_EQ(sys_.display().backend_kind(), core::DisplayBackendKind::kWayland);
-  EXPECT_EQ(&sys_.display().alert_overlay(), &comp_.alerts());
-  EXPECT_EQ(sys_.display().server_pid(), comp_.pid());
+  EXPECT_EQ(&sys_.display().alert_overlay(), &comp_.alert_overlay());
+  EXPECT_EQ(sys_.display().server_pid(), comp_.server_pid());
   // The compositor process exists and is the authorized display manager.
-  auto* task = sys_.kernel().processes().lookup(comp_.pid());
+  auto* task = sys_.kernel().processes().lookup(comp_.server_pid());
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->exe_path, kCompositorExe);
 }
@@ -48,17 +48,17 @@ TEST_F(WlCompositorTest, HardwareClickCreatesInteractionRecord) {
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
   sys_.input().click(100, 100);
   EXPECT_EQ(interaction_ts(a.pid), sys_.clock().now());
-  EXPECT_EQ(comp_.stats().interaction_notifications, 1u);
-  EXPECT_EQ(comp_.stats().hardware_events, 1u);
+  EXPECT_EQ(comp_.input_stats().interaction_notifications, 1u);
+  EXPECT_EQ(comp_.input_stats().hardware_events, 1u);
 }
 
 TEST_F(WlCompositorTest, HardwareKeyGoesToKeyboardFocus) {
   auto a = app("editor");
   sys_.input().click(100, 100);  // sets keyboard focus
-  const auto before = comp_.stats().interaction_notifications;
+  const auto before = comp_.input_stats().interaction_notifications;
   sys_.advance(sim::Duration::seconds(1));
   sys_.input().key(42);
-  EXPECT_EQ(comp_.stats().interaction_notifications, before + 1);
+  EXPECT_EQ(comp_.input_stats().interaction_notifications, before + 1);
   EXPECT_EQ(interaction_ts(a.pid), sys_.clock().now());
 }
 
@@ -91,8 +91,8 @@ TEST_F(WlCompositorTest, FreshlyMappedSurfaceIsSuppressed) {
   auto a = app("popup", {0, 0, 200, 200}, /*settle=*/false);
   sys_.input().click(100, 100);
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
-  EXPECT_EQ(comp_.stats().clickjack_suppressed, 1u);
-  EXPECT_EQ(comp_.stats().interaction_notifications, 0u);
+  EXPECT_EQ(comp_.input_stats().clickjack_suppressed, 1u);
+  EXPECT_EQ(comp_.input_stats().interaction_notifications, 0u);
   // The event itself is still delivered — apps must keep working.
   WlConnection* c = comp_.connection(a.client);
   ASSERT_NE(c, nullptr);
@@ -112,18 +112,18 @@ TEST_F(WlCompositorTest, InputOnlySurfaceNeverMintsInteractions) {
   sys_.advance(sim::Duration::seconds(5));
   sys_.input().click(100, 100);
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
-  EXPECT_EQ(comp_.stats().clickjack_suppressed, 1u);
+  EXPECT_EQ(comp_.input_stats().clickjack_suppressed, 1u);
 }
 
 // Re-mapping restarts the visibility clock (the pop-over attack).
 TEST_F(WlCompositorTest, RemapRestartsTheVisibilityClock) {
   auto a = app("popover");
-  ASSERT_TRUE(comp_.unmap_surface(a.client, a.window).is_ok());
+  ASSERT_TRUE(comp_.hide_surface(a.client, a.window).is_ok());
   sys_.advance(sim::Duration::seconds(2));
-  ASSERT_TRUE(comp_.map_surface(a.client, a.window).is_ok());
+  ASSERT_TRUE(comp_.show_surface(a.client, a.window).is_ok());
   sys_.input().click(100, 100);
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
-  EXPECT_EQ(comp_.stats().clickjack_suppressed, 1u);
+  EXPECT_EQ(comp_.input_stats().clickjack_suppressed, 1u);
 }
 
 TEST_F(WlCompositorTest, ConfigureMoveRestartsTheVisibilityClock) {
@@ -148,7 +148,7 @@ TEST_F(WlCompositorTest, ClickOnBareOutputIsANoop) {
   auto a = app("lonely", {0, 0, 50, 50});
   sys_.input().click(900, 700);  // no surface there
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
-  EXPECT_EQ(comp_.stats().hardware_events, 0u);
+  EXPECT_EQ(comp_.input_stats().hardware_events, 0u);
 }
 
 TEST_F(WlCompositorTest, ClickGoesToTopmostMappedSurface) {
@@ -180,8 +180,8 @@ TEST_F(WlCompositorTest, BaselineCompositorSendsNoNotifications) {
       baseline.launch_gui_app("/usr/bin/app", "app", {0, 0, 200, 200}).value();
   baseline.input().click(100, 100);
   // The event is delivered but no interaction record exists anywhere.
-  EXPECT_EQ(baseline.compositor().stats().hardware_events, 1u);
-  EXPECT_EQ(baseline.compositor().stats().interaction_notifications, 0u);
+  EXPECT_EQ(baseline.compositor().input_stats().hardware_events, 1u);
+  EXPECT_EQ(baseline.compositor().input_stats().interaction_notifications, 0u);
   EXPECT_TRUE(baseline.kernel()
                   .processes()
                   .lookup(a.pid)

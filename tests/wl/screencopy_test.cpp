@@ -84,7 +84,7 @@ TEST_F(WlScreencopyTest, MissingSurfaceIsBadWindow) {
 TEST_F(WlScreencopyTest, CompositeRespectsStackingOrder) {
   auto below = app("below", {0, 0, 10, 10});
   auto above = app("above", {0, 0, 10, 10});
-  WlSurface* top = comp_.surface(above.window);
+  display::Surface* top = comp_.surface(above.window);
   ASSERT_NE(top, nullptr);
   top->fill(0xAB);
   comp_.surface(below.window)->fill(0x11);

@@ -93,7 +93,7 @@ TEST_F(WlSerialProvenanceTest, ForgedSerialMintsNoInteractionRecord) {
   EXPECT_EQ(s.code(), util::Code::kBadAccess);
   EXPECT_TRUE(interaction_ts(attacker.pid).is_never());
   EXPECT_EQ(comp_.stats().forged_serials, 1u);
-  EXPECT_EQ(comp_.stats().interaction_notifications, 0u);
+  EXPECT_EQ(comp_.input_stats().interaction_notifications, 0u);
   EXPECT_EQ(sys_.obs().metrics.counter_value("wl.input.forged_serials"), 1u);
 }
 

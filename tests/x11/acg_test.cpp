@@ -9,6 +9,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using util::Code;
 using util::Decision;
 using util::Op;
@@ -102,7 +103,7 @@ TEST_F(AcgTest, UnmodifiedAppCanNeverBeGranted) {
   auto plain_app =
       sys_.launch_gui_app("/usr/bin/legacy", "legacy", Rect{500, 100, 200, 200})
           .value();
-  const auto& r = sys_.xserver().window(plain_app.window)->rect();
+  const auto& r = sys_.xserver().surface(plain_app.window)->rect();
   for (int i = 0; i < 5; ++i) sys_.input().click(r.x + 50, r.y + 50);
   auto fd = sys_.kernel().sys_open(plain_app.pid,
                                    core::OverhaulSystem::mic_path(),

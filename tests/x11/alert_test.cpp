@@ -10,6 +10,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using util::Decision;
 using util::Op;
 
@@ -125,7 +126,7 @@ TEST_F(AlertSystemTest, BlockedDeviceAccessRaisesAlert) {
   auto fd = sys_.kernel().sys_open(daemon, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
   EXPECT_EQ(fd.code(), util::Code::kOverhaulDenied);
-  auto& alerts = sys_.xserver().alerts();
+  auto& alerts = sys_.xserver().alert_overlay();
   ASSERT_EQ(alerts.shown_count(), 1u);
   EXPECT_EQ(alerts.history()[0].comm, "spy");
   EXPECT_EQ(alerts.history()[0].op, Op::kMicrophone);
@@ -135,12 +136,12 @@ TEST_F(AlertSystemTest, BlockedDeviceAccessRaisesAlert) {
 
 TEST_F(AlertSystemTest, GrantedDeviceAccessRaisesAlertToo) {
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   auto fd = sys_.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
   ASSERT_TRUE(fd.is_ok());
-  auto& alerts = sys_.xserver().alerts();
+  auto& alerts = sys_.xserver().alert_overlay();
   ASSERT_EQ(alerts.shown_count(), 1u);
   EXPECT_EQ(alerts.history()[0].decision, Decision::kGrant);
 }
@@ -151,14 +152,14 @@ TEST_F(AlertSystemTest, OverlayAboveAllClientWindows) {
   auto daemon = sys_.launch_daemon("/home/user/.spy", "spy").value();
   (void)sys_.kernel().sys_open(daemon, core::OverhaulSystem::mic_path(),
                                kern::OpenFlags::kRead);
-  ASSERT_EQ(sys_.xserver().alerts().active(sys_.clock().now()).size(), 1u);
+  ASSERT_EQ(sys_.xserver().alert_overlay().active(sys_.clock().now()).size(), 1u);
 
   // A client maps + raises a full-screen window while the alert shows.
   auto attacker = sys_.launch_gui_app("/home/user/mal", "mal",
                                       Rect{0, 0, 1024, 768}, false);
   ASSERT_TRUE(attacker.is_ok());
   // The alert remains active and is not part of the window stacking.
-  EXPECT_EQ(sys_.xserver().alerts().active(sys_.clock().now()).size(), 1u);
+  EXPECT_EQ(sys_.xserver().alert_overlay().active(sys_.clock().now()).size(), 1u);
   for (WindowId wid : sys_.xserver().stacking_order()) {
     EXPECT_NE(wid, kNoWindow);  // overlay has no window id in the stack
   }
@@ -170,7 +171,7 @@ TEST_F(AlertSystemTest, BaselineShowsNoAlerts) {
   auto fd = base.kernel().sys_open(daemon, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);
   EXPECT_TRUE(fd.is_ok());  // unmodified system grants
-  EXPECT_EQ(base.xserver().alerts().shown_count(), 0u);
+  EXPECT_EQ(base.xserver().alert_overlay().shown_count(), 0u);
 }
 
 }  // namespace

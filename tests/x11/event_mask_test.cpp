@@ -6,6 +6,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using util::Code;
 
 class EventMaskTest : public ::testing::Test {
@@ -41,10 +42,10 @@ TEST_F(EventMaskTest, StructureNotifyOnMapUnmapConfigure) {
       x_.select_input(watcher.client, a.window, kStructureNotifyMask).is_ok());
   x_.client(watcher.client)->drain();
 
-  ASSERT_TRUE(x_.unmap_window(a.client, a.window).is_ok());
-  ASSERT_TRUE(x_.map_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.show_surface(a.client, a.window).is_ok());
   ASSERT_TRUE(
-      x_.configure_window(a.client, a.window, Rect{10, 10, 100, 100}).is_ok());
+      x_.configure_surface(a.client, a.window, Rect{10, 10, 100, 100}).is_ok());
 
   const auto types = types_of(x_.client(watcher.client));
   ASSERT_EQ(types.size(), 3u);
@@ -57,7 +58,7 @@ TEST_F(EventMaskTest, NoMaskNoEvents) {
   auto a = app("a");
   auto watcher = app("wm", {500, 500, 50, 50});
   x_.client(watcher.client)->drain();
-  ASSERT_TRUE(x_.unmap_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(a.client, a.window).is_ok());
   EXPECT_FALSE(x_.client(watcher.client)->has_events());
 }
 
@@ -69,7 +70,7 @@ TEST_F(EventMaskTest, MaskReplacedNotAccumulated) {
   ASSERT_TRUE(
       x_.select_input(watcher.client, a.window, kPropertyChangeMask).is_ok());
   x_.client(watcher.client)->drain();
-  ASSERT_TRUE(x_.unmap_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(a.client, a.window).is_ok());
   EXPECT_FALSE(x_.client(watcher.client)->has_events());  // structure bit gone
 }
 
@@ -80,7 +81,7 @@ TEST_F(EventMaskTest, ClearingMaskStopsDelivery) {
       x_.select_input(watcher.client, a.window, kStructureNotifyMask).is_ok());
   ASSERT_TRUE(x_.select_input(watcher.client, a.window, kNoEventMask).is_ok());
   x_.client(watcher.client)->drain();
-  ASSERT_TRUE(x_.unmap_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(a.client, a.window).is_ok());
   EXPECT_FALSE(x_.client(watcher.client)->has_events());
 }
 
@@ -106,7 +107,7 @@ TEST_F(EventMaskTest, MultipleSelectorsAllReceive) {
       x_.select_input(w2.client, a.window, kStructureNotifyMask).is_ok());
   x_.client(w1.client)->drain();
   x_.client(w2.client)->drain();
-  ASSERT_TRUE(x_.unmap_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(a.client, a.window).is_ok());
   EXPECT_TRUE(x_.client(w1.client)->has_events());
   EXPECT_TRUE(x_.client(w2.client)->has_events());
 }

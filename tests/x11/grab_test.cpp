@@ -7,6 +7,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using util::Code;
 
 class GrabTest : public ::testing::Test {
@@ -66,7 +67,7 @@ TEST_F(GrabTest, InvisibleGrabberMintNoPermissions) {
   auto victim = app("editor");
   (void)victim;  // present so the keystrokes have a legitimate destination
   auto logger = app("keylog", {300, 300, 50, 50});
-  ASSERT_TRUE(x_.unmap_window(logger.client, logger.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(logger.client, logger.window).is_ok());
   ASSERT_TRUE(x_.grab_keyboard(logger.client, logger.window).is_ok());
   x_.client(logger.client)->drain();
 

@@ -23,7 +23,7 @@ class IncrTest : public ::testing::Test {
   }
 
   void user_clicks(const apps::GuiApp& app) {
-    (void)sys_.xserver().raise_window(app.client(), app.window());
+    (void)sys_.xserver().raise_surface(app.client(), app.window());
     auto [cx, cy] = app.click_point();
     sys_.input().click(cx, cy);
   }

@@ -9,6 +9,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 class InputTest : public ::testing::Test {
  protected:
   core::OverhaulSystem sys_;
@@ -30,16 +31,16 @@ TEST_F(InputTest, HardwareClickCreatesInteractionRecord) {
   EXPECT_TRUE(interaction_ts(a.pid).is_never());
   sys_.input().click(100, 100);
   EXPECT_EQ(interaction_ts(a.pid), sys_.clock().now());
-  EXPECT_EQ(x_.stats().interaction_notifications, 1u);
+  EXPECT_EQ(x_.input_stats().interaction_notifications, 1u);
 }
 
 TEST_F(InputTest, HardwareKeyGoesToFocusWindow) {
   auto a = app("editor");
   sys_.input().click(100, 100);  // sets focus
-  const auto before = x_.stats().interaction_notifications;
+  const auto before = x_.input_stats().interaction_notifications;
   sys_.advance(sim::Duration::seconds(1));
   sys_.input().key(42);
-  EXPECT_EQ(x_.stats().interaction_notifications, before + 1);
+  EXPECT_EQ(x_.input_stats().interaction_notifications, before + 1);
   EXPECT_EQ(interaction_ts(a.pid), sys_.clock().now());
 }
 
@@ -93,7 +94,7 @@ TEST_F(InputTest, FreshlyMappedWindowSuppressed) {
   auto trap = app("trap", Rect{0, 0, 200, 200}, /*settle=*/false);
   sys_.input().click(100, 100);  // window mapped < threshold ago
   EXPECT_TRUE(interaction_ts(trap.pid).is_never());
-  EXPECT_EQ(x_.stats().clickjack_suppressed, 1u);
+  EXPECT_EQ(x_.input_stats().clickjack_suppressed, 1u);
 
   sys_.advance(sys_.config().visibility_threshold + sim::Duration::millis(1));
   sys_.input().click(100, 100);
@@ -106,11 +107,11 @@ TEST_F(InputTest, TransparentOverlayNeverEligible) {
   (void)victim;
   auto attacker = app("attacker", Rect{0, 0, 200, 200});
   ASSERT_TRUE(
-      x_.set_transparent(attacker.client, attacker.window, true).is_ok());
+      x_.set_input_only(attacker.client, attacker.window, true).is_ok());
   sys_.advance(sim::Duration::seconds(60));  // mapped for a long time
   sys_.input().click(100, 100);  // lands on the transparent overlay (topmost)
   EXPECT_TRUE(interaction_ts(attacker.pid).is_never());
-  EXPECT_GE(x_.stats().clickjack_suppressed, 1u);
+  EXPECT_GE(x_.input_stats().clickjack_suppressed, 1u);
 }
 
 // Pop-over attack: attacker maps a window over the victim right before the
@@ -120,9 +121,9 @@ TEST_F(InputTest, PopOverWindowSuppressed) {
   (void)victim;
   auto attacker = app("attacker", Rect{0, 0, 200, 200});
   // Attacker hides, waits, then pops over just before the user's click.
-  ASSERT_TRUE(x_.unmap_window(attacker.client, attacker.window).is_ok());
+  ASSERT_TRUE(x_.hide_surface(attacker.client, attacker.window).is_ok());
   sys_.advance(sim::Duration::seconds(30));
-  ASSERT_TRUE(x_.map_window(attacker.client, attacker.window).is_ok());
+  ASSERT_TRUE(x_.show_surface(attacker.client, attacker.window).is_ok());
   sys_.input().click(100, 100);  // intended for victim, lands on attacker
   EXPECT_TRUE(interaction_ts(attacker.pid).is_never());
   EXPECT_TRUE(interaction_ts(victim.pid).is_never());  // victim got no event
@@ -133,15 +134,15 @@ TEST_F(InputTest, RaiseDoesNotRestartVisibilityClock) {
   auto b = app("b", Rect{0, 0, 200, 200});
   (void)b;
   // a is below b; raising a long-visible window is immediately eligible.
-  ASSERT_TRUE(x_.raise_window(a.client, a.window).is_ok());
+  ASSERT_TRUE(x_.raise_surface(a.client, a.window).is_ok());
   sys_.input().click(100, 100);
   EXPECT_FALSE(interaction_ts(a.pid).is_never());
 }
 
 TEST_F(InputTest, ClickOnBareRootIsNoop) {
-  const auto stats_before = x_.stats().hardware_events;
+  const auto stats_before = x_.input_stats().hardware_events;
   sys_.input().click(1000, 700);  // nothing mapped there
-  EXPECT_EQ(x_.stats().hardware_events, stats_before);
+  EXPECT_EQ(x_.input_stats().hardware_events, stats_before);
 }
 
 TEST_F(InputTest, BaselineServerSendsNoNotifications) {
@@ -149,7 +150,7 @@ TEST_F(InputTest, BaselineServerSendsNoNotifications) {
   auto a = baseline.launch_gui_app("/usr/bin/a", "a", Rect{0, 0, 100, 100});
   ASSERT_TRUE(a.is_ok());
   baseline.input().click(50, 50);
-  EXPECT_EQ(baseline.xserver().stats().interaction_notifications, 0u);
+  EXPECT_EQ(baseline.xserver().input_stats().interaction_notifications, 0u);
   // Unmodified kernel records nothing.
   EXPECT_TRUE(baseline.kernel()
                   .processes()

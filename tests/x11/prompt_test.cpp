@@ -8,6 +8,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using util::Code;
 using util::Decision;
 using util::Op;
@@ -94,7 +95,7 @@ TEST_F(PromptTest, FreshInteractionSkipsPrompt) {
   // would-be denials.
   answer_with_hardware(true);
   auto app = sys_.launch_gui_app("/usr/bin/rec", "rec").value();
-  const auto& r = sys_.xserver().window(app.window)->rect();
+  const auto& r = sys_.xserver().surface(app.window)->rect();
   sys_.input().click(r.x + 1, r.y + 1);
   auto fd = sys_.kernel().sys_open(app.pid, core::OverhaulSystem::mic_path(),
                                    kern::OpenFlags::kRead);

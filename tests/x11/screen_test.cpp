@@ -8,6 +8,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 class ScreenTest : public ::testing::Test {
  protected:
   core::OverhaulSystem sys_;
@@ -19,8 +20,8 @@ class ScreenTest : public ::testing::Test {
   }
 
   void user_clicks(const core::OverhaulSystem::AppHandle& a) {
-    (void)x_.raise_window(a.client, a.window);
-    const auto& r = x_.window(a.window)->rect();
+    (void)x_.raise_surface(a.client, a.window);
+    const auto& r = x_.surface(a.window)->rect();
     sys_.input().click(r.x + r.width / 2, r.y + r.height / 2);
   }
 };
@@ -92,7 +93,7 @@ TEST_F(ScreenTest, XShmSegmentTooSmall) {
 
 TEST_F(ScreenTest, SameOwnerCopyAreaNeedsNoQuery) {
   auto a = app("painter");
-  auto w2 = x_.create_window(a.client, Rect{500, 0, 200, 200}).value();
+  auto w2 = x_.open_surface(a.client, Rect{500, 0, 200, 200}).value();
   sys_.advance(sim::Duration::seconds(10));
   ASSERT_TRUE(x_.screen().copy_area(a.client, a.window, w2).is_ok());
   EXPECT_EQ(x_.screen().stats().same_owner_copies, 1u);
@@ -102,7 +103,7 @@ TEST_F(ScreenTest, SameOwnerCopyAreaNeedsNoQuery) {
 TEST_F(ScreenTest, CrossClientCopyAreaMediated) {
   auto victim = app("victim", Rect{0, 0, 100, 100});
   auto spy = app("spy", Rect{300, 300, 100, 100});
-  x_.window(victim.window)->fill(0xFFCC0011u);
+  x_.surface(victim.window)->fill(0xFFCC0011u);
   sys_.advance(sim::Duration::seconds(10));
   EXPECT_EQ(
       x_.screen().copy_area(spy.client, victim.window, spy.window).code(),
@@ -110,7 +111,7 @@ TEST_F(ScreenTest, CrossClientCopyAreaMediated) {
   user_clicks(spy);
   ASSERT_TRUE(
       x_.screen().copy_area(spy.client, victim.window, spy.window).is_ok());
-  EXPECT_EQ(x_.window(spy.window)->pixels()[0], 0xFFCC0011u);
+  EXPECT_EQ(x_.surface(spy.window)->pixels()[0], 0xFFCC0011u);
 }
 
 TEST_F(ScreenTest, RootSourcedCopyAreaMediated) {
@@ -130,7 +131,7 @@ TEST_F(ScreenTest, CopyAreaIntoForeignDestinationRejected) {
 TEST_F(ScreenTest, CopyPlaneSameRules) {
   auto victim = app("victim", Rect{0, 0, 64, 64});
   auto spy = app("spy", Rect{300, 300, 64, 64});
-  x_.window(victim.window)->fill(0xFFFFFFFFu);
+  x_.surface(victim.window)->fill(0xFFFFFFFFu);
   sys_.advance(sim::Duration::seconds(10));
   EXPECT_EQ(
       x_.screen().copy_plane(spy.client, victim.window, spy.window, 0).code(),
@@ -138,7 +139,7 @@ TEST_F(ScreenTest, CopyPlaneSameRules) {
   user_clicks(spy);
   ASSERT_TRUE(
       x_.screen().copy_plane(spy.client, victim.window, spy.window, 0).is_ok());
-  EXPECT_EQ(x_.window(spy.window)->pixels()[0] & 1u, 1u);
+  EXPECT_EQ(x_.surface(spy.window)->pixels()[0] & 1u, 1u);
   EXPECT_EQ(
       x_.screen().copy_plane(spy.client, victim.window, spy.window, 99).code(),
       util::Code::kInvalidArgument);
@@ -146,10 +147,10 @@ TEST_F(ScreenTest, CopyPlaneSameRules) {
 
 TEST_F(ScreenTest, RootCaptureCompositesWindows) {
   auto victim = app("banking", Rect{100, 100, 50, 50});
-  x_.window(victim.window)->fill(0xFF112233u);
-  x_.window(kRootWindow)->fill(0xFF000000u);
+  x_.surface(victim.window)->fill(0xFF112233u);
+  x_.surface(kRootWindow)->fill(0xFF000000u);
   auto shot = app("shot", Rect{600, 600, 50, 50});
-  x_.window(shot.window)->fill(0xFF445566u);
+  x_.surface(shot.window)->fill(0xFF445566u);
   user_clicks(shot);
 
   auto img = x_.screen().get_image(shot.client, kRootWindow);
@@ -165,15 +166,15 @@ TEST_F(ScreenTest, RootCaptureCompositesWindows) {
 TEST_F(ScreenTest, CompositeHonorsStackingOrder) {
   auto below = app("below", Rect{0, 0, 100, 100});
   auto above = app("above", Rect{0, 0, 100, 100});
-  x_.window(below.window)->fill(0xFF0000FFu);
-  x_.window(above.window)->fill(0xFF00FF00u);
+  x_.surface(below.window)->fill(0xFF0000FFu);
+  x_.surface(above.window)->fill(0xFF00FF00u);
   user_clicks(above);
   auto img = x_.screen().get_image(above.client, kRootWindow);
   ASSERT_TRUE(img.is_ok());
   EXPECT_EQ(img.value().pixels[50 * 1024 + 50], 0xFF00FF00u);
   // Raise the lower window: it now wins the overlap. The user clicks the
   // (now topmost) window, which authorizes its capture.
-  ASSERT_TRUE(x_.raise_window(below.client, below.window).is_ok());
+  ASSERT_TRUE(x_.raise_surface(below.client, below.window).is_ok());
   sys_.input().click(50, 50);
   img = x_.screen().get_image(below.client, kRootWindow);
   ASSERT_TRUE(img.is_ok());
@@ -182,12 +183,12 @@ TEST_F(ScreenTest, CompositeHonorsStackingOrder) {
 
 TEST_F(ScreenTest, UnmappedAndTransparentWindowsNotComposited) {
   auto hidden = app("hidden", Rect{200, 200, 40, 40});
-  x_.window(hidden.window)->fill(0xFFABCDEFu);
-  ASSERT_TRUE(x_.unmap_window(hidden.client, hidden.window).is_ok());
+  x_.surface(hidden.window)->fill(0xFFABCDEFu);
+  ASSERT_TRUE(x_.hide_surface(hidden.client, hidden.window).is_ok());
   auto ghost = app("ghost", Rect{300, 300, 40, 40});
-  x_.window(ghost.window)->fill(0xFF123456u);
-  ASSERT_TRUE(x_.set_transparent(ghost.client, ghost.window, true).is_ok());
-  x_.window(kRootWindow)->fill(0xFF000000u);
+  x_.surface(ghost.window)->fill(0xFF123456u);
+  ASSERT_TRUE(x_.set_input_only(ghost.client, ghost.window, true).is_ok());
+  x_.surface(kRootWindow)->fill(0xFF000000u);
 
   auto shot = app("shot", Rect{600, 600, 50, 50});
   user_clicks(shot);

@@ -30,7 +30,7 @@ class SelectionTest : public ::testing::Test {
   void user_clicks(const apps::GuiApp& app) {
     auto [cx, cy] = app.click_point();
     // Ensure the app is on top so the click lands on it.
-    (void)x_.raise_window(app.client(), app.window());
+    (void)x_.raise_surface(app.client(), app.window());
     sys_.input().click(cx, cy);
   }
 };

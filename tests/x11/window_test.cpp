@@ -1,4 +1,4 @@
-#include "x11/window.h"
+#include "display/surface.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Rect;
 using core::OverhaulSystem;
 
 TEST(Window, RectContains) {
@@ -18,7 +19,7 @@ TEST(Window, RectContains) {
 }
 
 TEST(Window, VisibilityClockRestartsOnMap) {
-  Window w(5, 1, Rect{0, 0, 10, 10});
+  display::Surface w(5, 1, Rect{0, 0, 10, 10});
   sim::Timestamp t0{1'000};
   w.map(t0);
   EXPECT_TRUE(w.mapped());
@@ -32,7 +33,7 @@ TEST(Window, VisibilityClockRestartsOnMap) {
 }
 
 TEST(Window, PixelBufferSized) {
-  Window w(5, 1, Rect{0, 0, 16, 8});
+  display::Surface w(5, 1, Rect{0, 0, 16, 8});
   EXPECT_EQ(w.pixels().size(), 128u);
   w.fill(0xFF00FF00u);
   EXPECT_EQ(w.pixels()[64], 0xFF00FF00u);
@@ -45,7 +46,7 @@ class ServerWindowTest : public ::testing::Test {
 };
 
 TEST_F(ServerWindowTest, RootWindowExists) {
-  Window* root = x_.window(kRootWindow);
+  display::Surface* root = x_.surface(kRootWindow);
   ASSERT_NE(root, nullptr);
   EXPECT_TRUE(root->mapped());
   EXPECT_EQ(root->rect().width, sys_.config().screen_width);
@@ -57,11 +58,11 @@ TEST_F(ServerWindowTest, CreateMapAndStack) {
   auto app2 = sys_.launch_gui_app("/usr/bin/b", "b", Rect{50, 50, 100, 100});
   ASSERT_TRUE(app2.is_ok());
   // b was mapped later → on top at the overlap point.
-  Window* hit = x_.window_at(75, 75);
+  display::Surface* hit = x_.surface_at(75, 75);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id(), app2.value().window);
   // a is hit outside the overlap.
-  hit = x_.window_at(10, 10);
+  hit = x_.surface_at(10, 10);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id(), app.value().window);
 }
@@ -70,33 +71,33 @@ TEST_F(ServerWindowTest, RaiseReordersStack) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a", Rect{0, 0, 100, 100});
   auto b = sys_.launch_gui_app("/usr/bin/b", "b", Rect{0, 0, 100, 100});
   ASSERT_TRUE(a.is_ok() && b.is_ok());
-  ASSERT_TRUE(x_.raise_window(a.value().client, a.value().window).is_ok());
-  EXPECT_EQ(x_.window_at(50, 50)->id(), a.value().window);
+  ASSERT_TRUE(x_.raise_surface(a.value().client, a.value().window).is_ok());
+  EXPECT_EQ(x_.surface_at(50, 50)->id(), a.value().window);
 }
 
 TEST_F(ServerWindowTest, OnlyOwnerMayManipulate) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a");
   auto b = sys_.launch_gui_app("/usr/bin/b", "b");
   ASSERT_TRUE(a.is_ok() && b.is_ok());
-  EXPECT_EQ(x_.unmap_window(b.value().client, a.value().window).code(),
+  EXPECT_EQ(x_.hide_surface(b.value().client, a.value().window).code(),
             util::Code::kBadAccess);
-  EXPECT_EQ(x_.raise_window(b.value().client, a.value().window).code(),
+  EXPECT_EQ(x_.raise_surface(b.value().client, a.value().window).code(),
             util::Code::kBadAccess);
-  EXPECT_EQ(x_.set_transparent(b.value().client, a.value().window, true).code(),
+  EXPECT_EQ(x_.set_input_only(b.value().client, a.value().window, true).code(),
             util::Code::kBadAccess);
 }
 
 TEST_F(ServerWindowTest, UnmappedWindowNotHit) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a", Rect{0, 0, 100, 100});
   ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(x_.unmap_window(a.value().client, a.value().window).is_ok());
-  EXPECT_EQ(x_.window_at(50, 50), nullptr);
+  ASSERT_TRUE(x_.hide_surface(a.value().client, a.value().window).is_ok());
+  EXPECT_EQ(x_.surface_at(50, 50), nullptr);
 }
 
 TEST_F(ServerWindowTest, EmptyGeometryRejected) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a");
   ASSERT_TRUE(a.is_ok());
-  EXPECT_EQ(x_.create_window(a.value().client, Rect{0, 0, 0, 10}).code(),
+  EXPECT_EQ(x_.open_surface(a.value().client, Rect{0, 0, 0, 10}).code(),
             util::Code::kInvalidArgument);
 }
 
@@ -104,42 +105,42 @@ TEST_F(ServerWindowTest, DisconnectDestroysWindows) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a", Rect{0, 0, 100, 100});
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(x_.disconnect_client(a.value().client).is_ok());
-  EXPECT_EQ(x_.window(a.value().window), nullptr);
-  EXPECT_EQ(x_.window_at(50, 50), nullptr);
+  EXPECT_EQ(x_.surface(a.value().window), nullptr);
+  EXPECT_EQ(x_.surface_at(50, 50), nullptr);
   EXPECT_EQ(x_.client(a.value().client), nullptr);
 }
 
 TEST_F(ServerWindowTest, ConnectRequiresLiveProcess) {
-  EXPECT_EQ(x_.connect_client(4242).code(), util::Code::kNotFound);
+  EXPECT_EQ(x_.attach_client(4242).code(), util::Code::kNotFound);
 }
 
 TEST_F(ServerWindowTest, ConfigureMovesAndResizes) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a", Rect{0, 0, 100, 100});
   ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(x_.configure_window(a.value().client, a.value().window,
+  ASSERT_TRUE(x_.configure_surface(a.value().client, a.value().window,
                                   Rect{200, 300, 150, 120})
                   .is_ok());
-  const Window* win = x_.window(a.value().window);
+  const display::Surface* win = x_.surface(a.value().window);
   EXPECT_EQ(win->rect().x, 200);
   EXPECT_EQ(win->rect().width, 150);
   EXPECT_EQ(win->pixels().size(), 150u * 120u);
-  EXPECT_EQ(x_.window_at(210, 310), win);
-  EXPECT_EQ(x_.window_at(10, 10), nullptr);
+  EXPECT_EQ(x_.surface_at(210, 310), win);
+  EXPECT_EQ(x_.surface_at(10, 10), nullptr);
 }
 
 TEST_F(ServerWindowTest, ConfigureValidation) {
   auto a = sys_.launch_gui_app("/usr/bin/a", "a");
   auto b = sys_.launch_gui_app("/usr/bin/b", "b");
   ASSERT_TRUE(a.is_ok() && b.is_ok());
-  EXPECT_EQ(x_.configure_window(b.value().client, a.value().window,
+  EXPECT_EQ(x_.configure_surface(b.value().client, a.value().window,
                                 Rect{0, 0, 10, 10})
                 .code(),
             util::Code::kBadAccess);
-  EXPECT_EQ(x_.configure_window(a.value().client, a.value().window,
+  EXPECT_EQ(x_.configure_surface(a.value().client, a.value().window,
                                 Rect{0, 0, 0, 10})
                 .code(),
             util::Code::kInvalidArgument);
-  EXPECT_EQ(x_.configure_window(a.value().client, 9999, Rect{0, 0, 5, 5})
+  EXPECT_EQ(x_.configure_surface(a.value().client, 9999, Rect{0, 0, 5, 5})
                 .code(),
             util::Code::kBadWindow);
 }
@@ -154,7 +155,7 @@ TEST_F(ServerWindowTest, MoveRestartsVisibilityClock) {
                                       Rect{900, 700, 100, 60});
   ASSERT_TRUE(victim.is_ok() && attacker.is_ok());
   sys_.advance(sim::Duration::minutes(10));  // attacker window well aged
-  ASSERT_TRUE(x_.configure_window(attacker.value().client,
+  ASSERT_TRUE(x_.configure_surface(attacker.value().client,
                                   attacker.value().window,
                                   Rect{0, 0, 100, 60})
                   .is_ok());

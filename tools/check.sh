@@ -106,6 +106,12 @@ if [ "$BENCH" = 1 ]; then
   # interval straddles 1.0 (noise) or sits below it (improvement) and fails
   # only when a whole interval exceeds the threshold — a CI-bounds verdict,
   # not a point-estimate one.
+  # The coalescing gate (coalesced notify >= 3x cheaper per event) is
+  # enforced only at full length in an optimized, unsanitized build, so it
+  # runs from the Release tree built above; the --quick smoke is advisory.
+  step "bench_hotpath (coalescing speedup gate, full length, Release build)"
+  (cd build-rel && ./bench/bench_hotpath)
+
   step "bench_table1 --ci + bench_gate (interval gate on ratio CI bounds)"
   (cd "$BUILD_DIR" &&
     ./bench/bench_table1 --ci >/dev/null &&
