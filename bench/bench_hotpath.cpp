@@ -47,12 +47,6 @@ int g_notify_pairs = 11;
 
 volatile std::uint64_t g_sink = 0;
 
-#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
-    !defined(__SANITIZE_THREAD__)
-constexpr bool kOptimizedBuild = true;
-#else
-constexpr bool kOptimizedBuild = false;
-#endif
 constexpr double kSpeedupFloor = 3.0;
 
 double time_seconds(const std::function<void()>& fn) {
@@ -204,10 +198,10 @@ NotifyResult run_notify() {
                    static_cast<unsigned long long>(st.interactions_sent));
     }
   }
-  std::sort(ratios.begin(), ratios.end());
-  r.speedup = ratios[ratios.size() / 2];
-  r.speedup_min = ratios.front();
-  r.speedup_max = ratios.back();
+  const bench::RatioSpread spread = bench::ratio_spread(std::move(ratios));
+  r.speedup = spread.median;
+  r.speedup_min = spread.min;
+  r.speedup_max = spread.max;
   return r;
 }
 
@@ -262,7 +256,7 @@ int main(int argc, char** argv) {
   report.add("coalesce_speedup_max", notify.speedup_max);
   (void)report.write("BENCH_hotpath.json");
 
-  if (quick || !kOptimizedBuild) {
+  if (quick || !bench::kOptimizedBuild) {
     std::printf("(%s: speedup gate advisory, not enforced)\n",
                 quick ? "--quick" : "debug or sanitized build");
     return 0;

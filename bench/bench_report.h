@@ -9,6 +9,7 @@
 // src/obs/json.h, so keep emission boring.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -19,6 +20,29 @@
 #include "obs/json.h"
 
 namespace overhaul::bench {
+
+// Speedup gates enforce their floor only in an optimized, unsanitized build:
+// debug and sanitizer timings measure the instrumentation.
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+inline constexpr bool kOptimizedBuild = true;
+#else
+inline constexpr bool kOptimizedBuild = false;
+#endif
+
+// The statistic the speedup gates take over interleaved repetitions: the
+// median ratio, with the extremes for the report.
+struct RatioSpread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+// `ratios` must not be empty.
+inline RatioSpread ratio_spread(std::vector<double> ratios) {
+  std::sort(ratios.begin(), ratios.end());
+  return {ratios[ratios.size() / 2], ratios.front(), ratios.back()};
+}
 
 class JsonReport {
  public:

@@ -5,8 +5,8 @@
 // rectangle and capture results with the same ARGB32 image. Keeping the
 // types here lets the core::DisplayBackend seam and the cross-backend
 // differential tests talk about geometry without dragging in either
-// protocol stack. display::Rect / display::Image remain as aliases so existing
-// code compiles unchanged.
+// protocol stack. These are the only definitions: neither backend declares
+// a geometry or image type of its own.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,10 @@
 #include "fleet/harness.h"
 
+#include <algorithm>
+#include <iterator>
+#include <type_traits>
+#include <utility>
+
 namespace overhaul::fleet {
 
 using util::Code;
@@ -23,34 +28,60 @@ core::DisplayBackendKind backend_for(BackendMix mix, ShardId id) {
 FleetHarness::FleetHarness(FleetConfig config)
     : config_(std::move(config)), rng_(config_.seed) {}
 
+std::unique_ptr<Shard> FleetHarness::build_shard(ShardId id,
+                                                 sim::Duration epoch) const {
+  core::OverhaulConfig cfg = config_.base;
+  cfg.fleet_shards = 1;  // each shard is exactly one seat
+  cfg.display_backend = backend_for(config_.mix, id);
+  cfg.metrics_prefix = "fleet.shard" + std::to_string(id) + ".";
+  return std::make_unique<Shard>(id, epoch, std::move(cfg));
+}
+
 OVERHAUL_COORDINATOR_ONLY
 ShardId FleetHarness::boot_shard() {
-  const ShardId id = static_cast<ShardId>(seats_.size());
-  core::OverhaulConfig shard_cfg = config_.base;
-  shard_cfg.fleet_shards = 1;  // each shard is exactly one seat
-  shard_cfg.display_backend = backend_for(config_.mix, id);
-  shard_cfg.metrics_prefix = "fleet.shard" + std::to_string(id) + ".";
+  const ShardId id = shard_count();
   // Epoch = the fleet instant of this boot; the shard's clock starts at 0.
-  const sim::Duration epoch{clock_.now().ns};
-  Seat seat;
-  seat.shard = std::make_unique<Shard>(id, epoch, std::move(shard_cfg));
-  seat.state = ShardState::kRunning;
-  seats_.push_back(std::move(seat));
+  seats_.push_back(Seat{build_shard(id, sim::Duration{clock_.now().ns}),
+                        ShardState::kRunning});
   return id;
 }
 
 OVERHAUL_COORDINATOR_ONLY
 void FleetHarness::boot_fleet() {
-  for (int i = 0; i < config_.shards; ++i) (void)boot_shard();
+  pending_.insert(pending_.end(),
+                  static_cast<std::size_t>(std::max(config_.shards, 0)),
+                  sim::Duration{clock_.now().ns});
+  boot_pending();
 }
 
 OVERHAUL_COORDINATOR_ONLY
 void FleetHarness::schedule_boot_storm(int count, sim::Duration stagger) {
   const sim::Timestamp now = clock_.now();
   for (int i = 0; i < count; ++i) {
-    scheduler_.at(now + sim::Duration{stagger.ns * i},
-                  [this] { (void)boot_shard(); });
+    // The event only records the boot: the seat's epoch is the instant it
+    // fires, and begin_step() builds it once the quantum's events have run.
+    scheduler_.at(now + sim::Duration{stagger.ns * i}, [this] {
+      pending_.push_back(sim::Duration{clock_.now().ns});
+    });
   }
+}
+
+OVERHAUL_COORDINATOR_ONLY
+void FleetHarness::boot_pending() {
+  if (pending_.empty()) return;
+  // Take the batch first: if a build throws, the batch is consumed and
+  // none of it reaches seats_ (the built seats die with `built`).
+  const std::vector<sim::Duration> epochs = std::exchange(pending_, {});
+  const ShardId first = shard_count();
+  std::vector<Seat> built(epochs.size());
+  exec_.run_quantum(epochs.size(), [&](std::size_t i) {
+    built[i] = Seat{build_shard(first + static_cast<ShardId>(i), epochs[i]),
+                    ShardState::kRunning};
+  });
+  // Moving a Seat cannot throw, so the append is all or nothing.
+  static_assert(std::is_nothrow_move_constructible_v<Seat>);
+  seats_.insert(seats_.end(), std::make_move_iterator(built.begin()),
+                std::make_move_iterator(built.end()));
 }
 
 OVERHAUL_COORDINATOR_ONLY
@@ -102,6 +133,7 @@ int FleetHarness::live_count() const {
 OVERHAUL_COORDINATOR_ONLY
 void FleetHarness::begin_step() {
   scheduler_.run_until(clock_.now() + config_.step_quantum);
+  boot_pending();
   ++steps_;
   // Rotated round-robin: ascending ids starting from a seeded offset. The
   // draw happens every step (even over an empty fleet) so the schedule for

@@ -8,12 +8,21 @@
 // staggered boot storms), seed-stable round-robin stepping, cross-shard
 // links, and aggregate-on-read metric rollups.
 //
+// Booting model: seats share nothing at boot, so the harness builds them on
+// the parallel engine's lanes. A boot that fires (a storm event, or
+// boot_fleet()) only records the seat's epoch; its id is the next free slot
+// in firing order. begin_step() then builds every seat that fired in the
+// quantum with one run_quantum and appends them in id order, so ids, epochs
+// and backends are the same at any lane count. If a build throws, the
+// batch is dropped whole: no seat of it ever appears in the seat table.
+//
 // Stepping model: step() advances the fleet clock by one quantum (running
-// any scheduled fleet events — boot storms land here), then steps every
-// running shard to the new fleet instant in a rotated round-robin order
-// drawn from the seeded RNG. The rotation is the seed-stable part: given
-// the same FleetConfig::seed, every run visits shards in the same order, so
-// fleet-scale runs replay exactly, while no shard is systematically first.
+// any scheduled fleet events — boot storms land here — and building the
+// seats they booted), then steps every running shard to the new fleet
+// instant in a rotated round-robin order drawn from the seeded RNG. The
+// rotation is the seed-stable part: given the same FleetConfig::seed, every
+// run visits shards in the same order, so fleet-scale runs replay exactly,
+// while no shard is systematically first.
 //
 // Determinism caveat the rotation exists to expose: shard *results* must
 // not depend on step order at all — shards only interact through
@@ -54,8 +63,9 @@ struct FleetConfig {
   int shards = 1;
   BackendMix mix = BackendMix::kMixed;
   std::uint64_t seed = 1;
-  // Worker lanes for the parallel stepping engine (sim::ParallelExecutor).
-  // 1 = serial (everything inline on the calling thread); N steps shards on
+  // Worker lanes for the parallel engine (sim::ParallelExecutor), which
+  // both builds booting seats and steps running ones. 1 = serial
+  // (everything inline on the calling thread); N builds and steps shards on
   // N lanes with a barrier per quantum. The determinism contract makes this
   // a pure throughput knob: same seed ⇒ bit-identical streams at any value.
   int threads = 1;
@@ -91,19 +101,20 @@ class FleetHarness {
 
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
   [[nodiscard]] sim::Clock& clock() noexcept { return clock_; }
-  [[nodiscard]] sim::Scheduler& scheduler() noexcept { return scheduler_; }
 
   // --- lifecycle -------------------------------------------------------------
-  // Boot one shard now; its epoch is the current fleet time. Returns the new
-  // shard's id (slots are never reused — a reaped slot stays reaped, like a
-  // retired pid).
+  // Boot one shard now, on the calling thread; its epoch is the current
+  // fleet time. Returns the new shard's id (slots are never reused — a
+  // reaped slot stays reaped, like a retired pid).
   ShardId boot_shard();
 
-  // Boot config.shards shards immediately (epoch = current fleet time).
+  // Boot config.shards shards immediately (epoch = current fleet time),
+  // built across the engine's lanes.
   void boot_fleet();
 
   // Schedule `count` boots on the fleet scheduler, one every `stagger` —
-  // the boot-storm shape. They fire as step()/advance() reaches them.
+  // the boot-storm shape. They fire as step()/advance() reaches them, and
+  // the step that fires them builds them on the lanes.
   void schedule_boot_storm(int count, sim::Duration stagger);
 
   // Exit every session on the shard and stop accepting new ones.
@@ -122,9 +133,10 @@ class FleetHarness {
   [[nodiscard]] int live_count() const;
 
   // --- stepping --------------------------------------------------------------
-  // Advance the fleet clock one quantum (firing due fleet events) and draw
-  // this step's rotated shard order. Benchmarks that time per-shard steps
-  // call this, then step_shard() for each id in step_order().
+  // Advance the fleet clock one quantum (firing due fleet events and
+  // building the seats they booted) and draw this step's rotated shard
+  // order. Benchmarks that time per-shard steps call this, then
+  // step_shard() for each id in step_order().
   void begin_step();
   [[nodiscard]] const std::vector<ShardId>& step_order() const noexcept {
     return order_;
@@ -133,15 +145,15 @@ class FleetHarness {
   void step_shard(ShardId id);
 
   // One full fleet quantum on the parallel engine: begin_step() (fleet
-  // events + rotation draw, coordinator-only), then the rotation stepped
-  // across the executor's lanes with cross-shard link sends deferred, then
-  // the barrier drain of every link's outboxes in link-table order. With
-  // threads == 1 every lane runs inline on the caller's thread — that *is*
-  // the serial path, so parallel-vs-serial equivalence is a property of the
-  // deferral semantics, not of a separate code path. Callers driving
-  // begin_step()/step_shard() by hand (per-shard timing in bench_fleet,
-  // single-shard tests) keep immediate link delivery: deferral is armed
-  // only inside step().
+  // events, the seats they booted built on the lanes, the rotation draw),
+  // then the rotation stepped across the executor's lanes with cross-shard
+  // link sends deferred, then the barrier drain of every link's outboxes in
+  // link-table order. With threads == 1 every lane runs inline on the
+  // caller's thread — that *is* the serial path, so parallel-vs-serial
+  // equivalence is a property of the deferral semantics, not of a separate
+  // code path. Callers driving begin_step()/step_shard() by hand (per-shard
+  // timing in bench_fleet, single-shard tests) keep immediate link
+  // delivery: deferral is armed only inside step().
   void step();
 
   [[nodiscard]] int threads() const noexcept { return exec_.workers(); }
@@ -174,6 +186,16 @@ class FleetHarness {
   [[nodiscard]] std::uint64_t steps_taken() const noexcept { return steps_; }
 
  private:
+  // Build seat `id`'s whole stack from the fleet template, with the backend
+  // chosen by id, the seat's metrics prefix and exactly one seat. Runs on a
+  // worker lane: it reads only config_, which never changes after
+  // construction.
+  [[nodiscard]] std::unique_ptr<Shard> build_shard(ShardId id,
+                                                   sim::Duration epoch) const;
+  // Build every booted seat in pending_ on the lanes and append them to the
+  // seat table in id order.
+  void boot_pending();
+
   // Arm/disarm link deferral and drain outboxes around a parallel quantum.
   void begin_exchange();
   void end_exchange();
@@ -193,7 +215,12 @@ class FleetHarness {
   };
   // The seat table and link table are the harness's cross-shard mutation
   // surfaces: every write happens inside the named lifecycle accessors.
-  OVERHAUL_SHARED(boot_shard|drain_shard|reap_shard) std::vector<Seat> seats_;
+  OVERHAUL_SHARED(boot_shard|boot_pending|drain_shard|reap_shard)
+  std::vector<Seat> seats_;
+  // Epochs of the seats that have booted but are not built yet, in id
+  // order. Filled by boot_fleet() and boot-storm events; boot_pending()
+  // empties it before the next rotation is drawn.
+  OVERHAUL_SHARD_LOCAL std::vector<sim::Duration> pending_;
   OVERHAUL_SHARED(connect_xshard|reap_shard)
   std::vector<std::unique_ptr<XShardLink>> links_;
 

@@ -3,7 +3,8 @@
 namespace overhaul::sim {
 
 ParallelExecutor::ParallelExecutor(int workers)
-    : workers_(workers < 1 ? 1 : workers) {
+    : workers_(workers < 1 ? 1 : workers),
+      errors_(static_cast<std::size_t>(workers_)) {
   pool_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int lane = 1; lane < workers_; ++lane)
     pool_.emplace_back([this, lane] { worker_loop(lane); });
@@ -16,11 +17,16 @@ int ParallelExecutor::hardware_lanes() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-void ParallelExecutor::run_lane(int lane, std::size_t count,
-                                const LaneFn& fn) const {
-  for (std::size_t i = static_cast<std::size_t>(lane); i < count;
-       i += static_cast<std::size_t>(workers_))
-    fn(i);
+std::exception_ptr ParallelExecutor::run_lane(int lane, std::size_t count,
+                                              const LaneFn& fn) const noexcept {
+  try {
+    for (std::size_t i = static_cast<std::size_t>(lane); i < count;
+         i += static_cast<std::size_t>(workers_))
+      fn(i);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
 }
 
 OVERHAUL_COORDINATOR_ONLY
@@ -42,11 +48,21 @@ void ParallelExecutor::run_quantum(std::size_t count, const LaneFn& fn) {
   // The coordinator is lane 0: it works instead of blocking, so a 1-worker
   // configuration costs no handoff at all and W workers means W running
   // lanes, not W+1 threads with one idle.
-  run_lane(0, count, fn);
+  std::exception_ptr lane0_error = run_lane(0, count, fn);
   std::unique_lock<std::mutex> lk(quantum_mu_);
+  errors_[0] = std::move(lane0_error);
   ++done_count_;
   cv_done_.wait(lk, [this] { return done_count_ == workers_; });
   job_ = nullptr;
+  // Every lane has stopped, so no thread references `fn` any more: only now
+  // may an exception unwind the caller's frame.
+  std::exception_ptr first;
+  for (std::exception_ptr& e : errors_) {
+    if (first == nullptr) first = e;
+    e = nullptr;
+  }
+  lk.unlock();
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
 void ParallelExecutor::worker_loop(int lane) {
@@ -64,9 +80,10 @@ void ParallelExecutor::worker_loop(int lane) {
       count = item_count_;
       job = job_;
     }
-    run_lane(lane, count, *job);
+    std::exception_ptr error = run_lane(lane, count, *job);
     {
       std::lock_guard<std::mutex> lk(quantum_mu_);
+      errors_[static_cast<std::size_t>(lane)] = std::move(error);
       ++done_count_;
       if (done_count_ == workers_) cv_done_.notify_one();
     }

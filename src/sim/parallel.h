@@ -29,11 +29,19 @@
 // until done_count_ == workers. Lock ranks are declared in
 // tools/lint/overhaul_lint.rules (r10.order): lifecycle_mu_ before
 // quantum_mu_ — stop() nests the handoff lock inside the lifecycle lock.
+//
+// Exceptions: an item that throws stops its own lane, which hands the
+// exception to the barrier instead of unwinding out of it. Every other lane
+// runs to its end, the barrier completes as usual, and only then does
+// run_quantum rethrow on the caller — the exception of the lowest lane
+// that threw. So no worker ever calls a job whose caller has unwound, and
+// the next quantum starts from a clean barrier.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -59,7 +67,9 @@ class ParallelExecutor {
   // Run one quantum: fn(i) for every i in [0, count), partitioned over the
   // lanes, returning after the barrier (all lanes done). The coordinator
   // executes lane 0 itself. `fn` must be safe to call concurrently for
-  // items in different lanes.
+  // items in different lanes. If items throw, each throwing lane skips its
+  // remaining items and, after the barrier, the lowest such lane's
+  // exception is rethrown here.
   void run_quantum(std::size_t count, const LaneFn& fn);
 
   [[nodiscard]] int workers() const noexcept { return workers_; }
@@ -78,7 +88,10 @@ class ParallelExecutor {
 
  private:
   void worker_loop(int lane);
-  void run_lane(int lane, std::size_t count, const LaneFn& fn) const;
+  // Runs lane `lane`'s items in ascending order; returns what an item threw
+  // (the lane stops there), or null.
+  std::exception_ptr run_lane(int lane, std::size_t count,
+                              const LaneFn& fn) const noexcept;
 
   const int workers_;
 
@@ -104,6 +117,9 @@ class ParallelExecutor {
   OVERHAUL_GUARDED_BY(quantum_mu_) const LaneFn* job_ = nullptr;
   OVERHAUL_GUARDED_BY(quantum_mu_) int done_count_ = 0;
   OVERHAUL_GUARDED_BY(quantum_mu_) bool stopping_ = false;
+  // What each lane threw this quantum (null if nothing), reported with its
+  // done_count_ bump and cleared by the coordinator after the barrier.
+  OVERHAUL_GUARDED_BY(quantum_mu_) std::vector<std::exception_ptr> errors_;
 };
 
 }  // namespace overhaul::sim

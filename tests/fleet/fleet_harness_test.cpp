@@ -237,24 +237,31 @@ TEST(FleetLifecycle, SendToDrainedSessionReportsDeadProcess) {
 
 // --- boot storms & the clock invariant ---------------------------------------
 
+// Boots are built on the engine's lanes, so the storm must come out the
+// same at one lane and at four.
 TEST(FleetBootStorm, StaggeredEpochsAndClockInvariant) {
-  FleetConfig fc = small_fleet(0);
-  FleetHarness f(fc);
-  const Duration stagger = Duration::millis(5);
-  f.schedule_boot_storm(/*count=*/8, stagger);
-  EXPECT_EQ(f.shard_count(), 0);  // nothing boots until time passes
-  f.advance(Duration::millis(100));
-  ASSERT_EQ(f.shard_count(), 8);
-  EXPECT_EQ(f.live_count(), 8);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc = small_fleet(0);
+    fc.threads = threads;
+    FleetHarness f(fc);
+    const Duration stagger = Duration::millis(5);
+    f.schedule_boot_storm(/*count=*/8, stagger);
+    EXPECT_EQ(f.shard_count(), 0);  // nothing boots until time passes
+    f.advance(Duration::millis(100));
+    ASSERT_EQ(f.shard_count(), 8);
+    EXPECT_EQ(f.live_count(), 8);
 
-  const Timestamp fleet_now = f.clock().now();
-  for (ShardId id = 0; id < 8; ++id) {
-    // Boot k fired at exactly k·stagger of fleet time.
-    EXPECT_EQ(f.shard(id).epoch().ns, stagger.ns * id) << "shard " << id;
-    // The invariant every translation relies on: local + epoch == fleet.
-    EXPECT_EQ(f.shard(id).system().clock().now().ns + f.shard(id).epoch().ns,
-              fleet_now.ns)
-        << "shard " << id;
+    const Timestamp fleet_now = f.clock().now();
+    for (ShardId id = 0; id < 8; ++id) {
+      EXPECT_EQ(f.shard(id).id(), id);
+      // Boot k fired at exactly k·stagger of fleet time.
+      EXPECT_EQ(f.shard(id).epoch().ns, stagger.ns * id) << "shard " << id;
+      // The invariant every translation relies on: local + epoch == fleet.
+      EXPECT_EQ(f.shard(id).system().clock().now().ns + f.shard(id).epoch().ns,
+                fleet_now.ns)
+          << "shard " << id;
+    }
   }
 }
 

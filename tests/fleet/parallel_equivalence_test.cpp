@@ -16,7 +16,9 @@
 // "beat" event inside its own scheduler — so the mediation work (clicks
 // through the display backend, netlink coalescing, permission decisions,
 // cross-shard sends/receives) happens *inside* the concurrent stepping
-// phase, not from the test's main thread between steps.
+// phase, not from the test's main thread between steps. The boot-storm
+// variant adds the boot path: its seats are built on the lanes too, and
+// must come out with the same (id, epoch, backend) at any worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,6 +47,11 @@ using util::Op;
 constexpr int kShards = 10;
 constexpr int kQuanta = 48;
 constexpr const char* kDetail = "par-eq";
+// Storm spacing: 10 boots over three 10 ms quanta, so each quantum builds a
+// batch of several seats and the fleet carries several distinct epochs.
+constexpr Duration kStormStagger = Duration::millis(3);
+
+using SeatKey = std::tuple<ShardId, std::int64_t, core::DisplayBackendKind>;
 
 // Everything observable we can cheaply fingerprint, per shard plus rollups.
 struct Fingerprint {
@@ -53,6 +60,7 @@ struct Fingerprint {
   std::vector<std::int64_t> final_ts;               // per session task
   std::vector<std::int64_t> link_stamps;            // per link, both dirs
   std::vector<std::uint64_t> rollups;
+  std::vector<SeatKey> seats;                       // (id, epoch, backend)
 };
 
 std::string audit_line(const util::AuditRecord& r) {
@@ -123,9 +131,11 @@ struct Driver {
   std::vector<std::unique_ptr<Beat>> beats;
   std::vector<std::vector<std::string>> decisions;
 
-  // Boots the fleet, launches one session per seat, wires a link ring
-  // (shard 2k ↔ 2k+1), and arms the beats. Stepping is left to the caller.
-  Driver(int threads, BackendMix mix, std::uint64_t seed, bool coalesce) {
+  // Boots the fleet (all at once, or as a staggered storm), launches one
+  // session per seat, wires a link ring (shard 2k ↔ 2k+1), and arms the
+  // beats. Stepping is left to the caller.
+  Driver(int threads, BackendMix mix, std::uint64_t seed, bool coalesce,
+         bool storm = false) {
     fc.shards = kShards;
     fc.mix = mix;
     fc.seed = seed;
@@ -133,7 +143,12 @@ struct Driver {
     fc.base.audit = true;
     fc.base.netlink_coalesce = coalesce;
     f = std::make_unique<FleetHarness>(fc);
-    f->boot_fleet();
+    if (storm) {
+      f->schedule_boot_storm(kShards, kStormStagger);
+      while (f->shard_count() < kShards) f->step();
+    } else {
+      f->boot_fleet();
+    }
     decisions.resize(kShards);
     for (ShardId id = 0; id < f->shard_count(); ++id)
       pids.push_back(
@@ -170,6 +185,8 @@ struct Driver {
       fp.audits.push_back(std::move(lines));
       fp.final_ts.push_back(
           f->shard(id).kernel().processes().lookup(pids[id])->interaction_ts.ns);
+      fp.seats.emplace_back(f->shard(id).id(), f->shard(id).epoch().ns,
+                            f->shard(id).backend());
     }
     for (std::size_t l = 0; l < f->link_count(); ++l) {
       fp.link_stamps.push_back(f->link(l).pair().stamp_from(0).fleet_stamp().ns);
@@ -185,8 +202,8 @@ struct Driver {
 };
 
 Fingerprint run_engine(int threads, BackendMix mix, std::uint64_t seed,
-                       bool coalesce) {
-  Driver d(threads, mix, seed, coalesce);
+                       bool coalesce, bool storm = false) {
+  Driver d(threads, mix, seed, coalesce, storm);
   for (int q = 0; q < kQuanta + 2; ++q) d.f->step();
   return d.fingerprint();
 }
@@ -212,6 +229,7 @@ void expect_identical(const Fingerprint& got, const Fingerprint& want,
   EXPECT_EQ(got.final_ts, want.final_ts) << label;
   EXPECT_EQ(got.link_stamps, want.link_stamps) << label;
   EXPECT_EQ(got.rollups, want.rollups) << label;
+  EXPECT_EQ(got.seats, want.seats) << label;
   // A degenerate draw (no decisions at all) would pass vacuously.
   std::size_t total = 0;
   for (const auto& v : want.decisions) total += v.size();
@@ -253,6 +271,23 @@ TEST(ParallelEquivalence, CoalescingOnStaysBitIdentical) {
   for (const int threads : {2, 4, 8})
     expect_identical(run_engine(threads, BackendMix::kMixed, 1337, true),
                      serial, "coalesce threads=" + std::to_string(threads));
+}
+
+// Seats booted by a staggered storm are built on the lanes, a batch per
+// quantum: the fleet they make must not depend on the worker count either.
+TEST(ParallelEquivalence, BootStormIsBitIdentical) {
+  const Fingerprint serial = run_engine(1, BackendMix::kMixed, 31337,
+                                        /*coalesce=*/true, /*storm=*/true);
+  // The storm really staggered: seat k booted at k·stagger, whatever
+  // quantum built it.
+  ASSERT_EQ(serial.seats.size(), static_cast<std::size_t>(kShards));
+  for (std::size_t k = 0; k < serial.seats.size(); ++k)
+    EXPECT_EQ(std::get<1>(serial.seats[k]),
+              kStormStagger.ns * static_cast<std::int64_t>(k));
+  for (const int threads : {2, 4, 8})
+    expect_identical(
+        run_engine(threads, BackendMix::kMixed, 31337, true, true), serial,
+        "storm threads=" + std::to_string(threads));
 }
 
 // Re-running the identical configuration must also be deterministic run-to-

@@ -2,13 +2,17 @@
 // lifecycle. The fleet-level determinism claim lives in
 // tests/fleet/parallel_equivalence_test.cpp; this file pins the executor's
 // own contract — every index exactly once, lane assignment a pure function
-// of the index, reusable across quanta, inline when serial or stopped.
+// of the index, reusable across quanta, inline when serial or stopped, and
+// a throwing item surfaces on the caller only after the barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,6 +140,73 @@ TEST(ParallelExecutorTest, BarrierPublishesLaneWritesToCoordinator) {
   std::vector<std::size_t> out(256, 0);
   exec.run_quantum(out.size(), [&](std::size_t i) { out[i] = i * i; });
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+}
+
+// An item that throws stops its own lane; every other lane runs to its end,
+// and the caller sees the exception only once no lane is running. Item 0 is
+// lane 0 (the coordinator) at every width; item 2 is a worker lane at 4
+// workers. Without the barrier a worker's throw terminates the process and
+// a coordinator's throw unwinds while workers still call the job.
+TEST(ParallelExecutorTest, ThrowingItemSurfacesAfterEveryLaneStops) {
+  constexpr std::size_t kCount = 64;
+  for (const int workers : {1, 2, 4}) {
+    for (const std::size_t bad : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " throwing item=" + std::to_string(bad));
+      ParallelExecutor exec(workers);
+      std::vector<std::atomic<int>> hits(kCount);
+      std::atomic<int> running{0};
+      const auto fn = [&](std::size_t i) {
+        running.fetch_add(1);
+        hits[i].fetch_add(1);
+        // Slow items, so a caller released early would still see lanes
+        // running.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        running.fetch_sub(1);
+        if (i == bad) throw std::runtime_error("item " + std::to_string(i));
+      };
+      try {
+        exec.run_quantum(kCount, fn);
+        ADD_FAILURE() << "run_quantum did not rethrow";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "item " + std::to_string(bad));
+        EXPECT_EQ(running.load(), 0) << "a lane was still running";
+      }
+      // The throwing lane stopped at the bad item; every other lane ran to
+      // its end. With one worker the whole quantum is that one lane.
+      const int bad_lane = exec.lane_of(bad);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        const bool skipped = exec.lane_of(i) == bad_lane && i > bad;
+        EXPECT_EQ(hits[i].load(), skipped ? 0 : 1) << "item " << i;
+      }
+      // The barrier is clean: the next quantum covers every index once.
+      std::vector<std::atomic<int>> again(kCount);
+      exec.run_quantum(kCount, [&](std::size_t i) { again[i].fetch_add(1); });
+      for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(again[i].load(), 1) << "item " << i;
+    }
+  }
+}
+
+// When several lanes throw, the caller gets the lowest lane's exception,
+// whichever lane finished first.
+TEST(ParallelExecutorTest, LowestThrowingLaneWins) {
+  ParallelExecutor exec(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      exec.run_quantum(16, [](std::size_t i) {
+        // Lane 3 throws at once, lane 1 only after a delay.
+        if (i == 3) throw std::runtime_error("lane 3");
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+          throw std::runtime_error("lane 1");
+        }
+      });
+      ADD_FAILURE() << "run_quantum did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "lane 1");
+    }
+  }
 }
 
 TEST(ParallelExecutorTest, HardwareLanesIsPositive) {

@@ -7,10 +7,12 @@
 #   tools/check.sh tsan
 #   tools/check.sh --metrics       # additionally smoke the BENCH_*.json path
 #   tools/check.sh --bench         # additionally run the repository
-#                                  # benchmark's self-test (perfbench/) and
+#                                  # benchmark's self-test (perfbench/),
 #                                  # smoke the perf benches (bench_hotpath,
 #                                  # bench_table1, bench_lint, bench_fleet,
 #                                  # bench_audit + the trajectory diff gate)
+#                                  # and run the hotpath, fleet and audit
+#                                  # speedup gates from the Release build
 #   JOBS=4 tools/check.sh          # override parallelism
 #
 # --metrics and --bench combine, in any order, before the preset name.
@@ -75,7 +77,8 @@ cmake --build build-rel -j "$JOBS"
 if [ "$PRESET" != "tsan" ]; then
   step "tsan engine battery (fleet.* + sim.* under ThreadSanitizer)"
   cmake --preset tsan >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target fleet_test sim_test
+  cmake --build build-tsan -j "$JOBS" \
+    --target fleet_test fleet_boot_failure_test sim_test
   (cd build-tsan && ctest -R '^(fleet|sim)\.' --output-on-failure -j "$JOBS")
 fi
 
@@ -124,12 +127,22 @@ if [ "$BENCH" = 1 ]; then
     ./tools/obs/json_check BENCH_fleet.json)
 
   # Binary audit append vs the text log path: the ratio is the reproduced
-  # quantity (gated >= 3x inside the bench in optimized builds), and the
-  # JSON feeds the trajectory diff below.
-  step "bench_audit --quick (binary vs text append gate + BENCH_audit.json)"
+  # quantity, and the JSON feeds the trajectory diff below. The --quick
+  # smoke only reports it.
+  step "bench_audit --quick (binary vs text append smoke + BENCH_audit.json)"
   (cd "$BUILD_DIR" &&
     ./bench/bench_audit --quick &&
     ./tools/obs/json_check BENCH_audit.json)
+
+  # The fleet engine's speedup gate (median 4-lane speedup >= 2x) and the
+  # binary append gate (median >= 3x) each take the median over 5
+  # interleaved pairs, and are enforced only at full length in an optimized,
+  # unsanitized build, so they run from the Release tree built above.
+  step "bench_fleet (4-lane sweep speedup gate, full length, Release build)"
+  (cd build-rel && ./bench/bench_fleet)
+
+  step "bench_audit (binary append speedup gate, full length, Release build)"
+  (cd build-rel && ./bench/bench_audit)
 
   # Trajectory gate: this run's headline metrics (fleet decisions/sec, the
   # hot-path ns/op family, the binary audit speedup) against the committed
