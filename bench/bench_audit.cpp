@@ -11,18 +11,15 @@
 // path. Absolute ns/op are machine-dependent; the ratio is the reproduced
 // quantity, taken as the median over interleaved text/binary pairs so that
 // host drift cancels within a pair and no single host phase decides the
-// verdict. A full-length run of an optimized, unsanitized build exits 1
-// below the floor; --quick runs and debug or sanitized builds report the
-// ratio as advisory only. The report also records the memory side: live
-// bytes held by the binary ring vs the text-equivalent footprint of the
-// same records.
+// verdict. An optimized, unsanitized build exits 1 below the floor; debug
+// or sanitized builds report the ratio as advisory only. The memory side
+// (ring bytes per record against the text rendering) is perfbench's
+// audit.bytes_per_record probes.
 //
-// Usage: bench_audit [--quick]   (writes BENCH_audit.json; exit 1 on gate
-// fail)
+// Usage: bench_audit   (writes BENCH_audit.json; exit 1 on gate fail)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <string_view>
@@ -36,7 +33,7 @@ using namespace overhaul;
 
 namespace {
 
-int g_append_iters = 4'000'000;
+constexpr int kAppendIters = 4'000'000;
 constexpr int kPairs = 5;
 constexpr double kSpeedupFloor = 3.0;
 
@@ -89,7 +86,7 @@ double ns_per_op(int ops, const std::function<void()>& fn) {
 // build it: a fresh AuditRecord whose comm/detail are copied into heap
 // strings.
 void text_pass(TextLog* log) {
-  for (int i = 0; i < g_append_iters; ++i) {
+  for (int i = 0; i < kAppendIters; ++i) {
     util::AuditRecord rec;
     rec.time_ns = static_cast<std::int64_t>(i) * 1'000;
     rec.pid = 100 + (i & 7);
@@ -104,7 +101,7 @@ void text_pass(TextLog* log) {
 }
 
 void binary_pass(audit::Sink* sink) {
-  for (int i = 0; i < g_append_iters; ++i) {
+  for (int i = 0; i < kAppendIters; ++i) {
     sink->append_decision(
         static_cast<std::int64_t>(i) * 1'000, 100 + (i & 7), kComms[i & 7],
         static_cast<util::Op>(i % static_cast<int>(util::kOpCount)),
@@ -127,8 +124,8 @@ Result run_pairs(TextLog* log, audit::Sink* sink) {
   Result r;
   std::vector<double> ratios;
   for (int pair = 0; pair < kPairs; ++pair) {
-    const double t = ns_per_op(g_append_iters, [&] { text_pass(log); });
-    const double b = ns_per_op(g_append_iters, [&] { binary_pass(sink); });
+    const double t = ns_per_op(kAppendIters, [&] { text_pass(log); });
+    const double b = ns_per_op(kAppendIters, [&] { binary_pass(sink); });
     r.text_ns = std::min(r.text_ns, t);
     r.binary_ns = std::min(r.binary_ns, b);
     ratios.push_back(t / b);
@@ -139,16 +136,7 @@ Result run_pairs(TextLog* log, audit::Sink* sink) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  if (quick) {
-    // /20 keeps quick sub-second but leaves the ring-full steady state
-    // dominant (200k appends vs a 16k ring).
-    g_append_iters /= 20;
-    std::printf("(--quick: iteration counts divided by 20 — smoke, the "
-                "speedup gate is advisory)\n");
-  }
-
+int main() {
   std::printf("Audit append: text log vs binary ring (%d interleaved pairs, "
               "ring capacity %zu)\n\n",
               kPairs, kRingCapacity);
@@ -158,37 +146,25 @@ int main(int argc, char** argv) {
   audit::Sink sink(kRingCapacity);
   const Result r = run_pairs(&text_log, &sink);
 
-  const double mem_bin = static_cast<double>(sink.memory_bytes());
-  const double mem_text = static_cast<double>(sink.text_equiv_bytes());
-  const double mem_ratio = mem_bin > 0 ? mem_text / mem_bin : 0;
-
   std::printf("%-16s %10.1f ns/op   (AuditRecord + 2 heap strings, "
               "push/pop churn)\n",
               "text-append", r.text_ns);
   std::printf("%-16s %10.1f ns/op   (2 warm interns + 64-byte ring store)\n",
               "binary-append", r.binary_ns);
-  std::printf("%-16s %10zu bytes  (records + intern payload)\n",
-              "binary-memory", sink.memory_bytes());
-  std::printf("%-16s %10zu bytes  (same records as text-log entries)\n",
-              "text-memory", sink.text_equiv_bytes());
   std::printf("\nbinary append speedup: %.2fx, median of %d interleaved pairs "
               "(%.2f-%.2fx; gate: >= %.0fx)\n",
               r.speedup.median, kPairs, r.speedup.min, r.speedup.max,
               kSpeedupFloor);
 
   bench::JsonReport report("audit");
-  report.add_raw("quick", quick ? "true" : "false");
   report.add("pairs", kPairs);
   report.add("ring_capacity", kRingCapacity);
-  report.add("append_iters", g_append_iters);
+  report.add("append_iters", kAppendIters);
   report.add("text_append_ns_per_op", r.text_ns);
   report.add("binary_append_ns_per_op", r.binary_ns);
   report.add("binary_speedup", r.speedup.median);
   report.add("binary_speedup_min", r.speedup.min);
   report.add("binary_speedup_max", r.speedup.max);
-  report.add("binary_memory_bytes", sink.memory_bytes());
-  report.add("text_equiv_memory_bytes", sink.text_equiv_bytes());
-  report.add("memory_ratio", mem_ratio);
   (void)report.write("BENCH_audit.json");
 
   // Sanity in every build: both sides saw the same stream and the ring
@@ -202,9 +178,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(text_log.total_appended));
     return 1;
   }
-  if (quick || !bench::kOptimizedBuild) {
-    std::printf("(%s: speedup gate advisory, not enforced)\n",
-                quick ? "--quick" : "debug or sanitized build");
+  if (!bench::kOptimizedBuild) {
+    std::printf("(debug or sanitized build: speedup gate advisory, not "
+                "enforced)\n");
     return 0;
   }
   if (r.speedup.median < kSpeedupFloor) {

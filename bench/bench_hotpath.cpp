@@ -1,132 +1,39 @@
-// Mediation fast-path microbenchmark (DESIGN.md §10): ns/op for the four
-// operations the zero-allocation work targets —
-//   lookup           — pid → TaskStruct* through the slab's paged pid map
-//   check            — PermissionMonitor::check, grant path, audit/trace off
+// Netlink coalescing gate (DESIGN.md §10): ns per event for a same-pid
+// interaction burst sent two ways —
 //   notify           — send_interaction with coalescing disabled (one kernel
 //                      crossing per event)
 //   coalesced-notify — send_interaction with coalescing on (10 ms skew, 1 ms
 //                      event spacing → ~10 events per crossing)
 //
-// The headline gate is the notify / coalesced-notify ratio: the coalescing
-// stage must make a same-pid notification burst at least 3× cheaper per
-// event than the per-event crossing path. Absolute ns/op are machine-
-// dependent; the ratio is the reproduced quantity, taken as the median over
-// 11 interleaved uncoalesced/coalesced pairs. A full-length run of an
-// optimized, unsanitized build exits 1 below the floor; --quick runs and
-// debug or sanitized builds report the ratio as advisory only, because
-// their timings do not measure the optimized fast path.
+// The gate is the notify / coalesced-notify ratio: the coalescing stage must
+// make a same-pid notification burst at least 3× cheaper per event than the
+// per-event crossing path. Absolute ns/op are machine-dependent; the ratio
+// is the reproduced quantity, taken as the median over 11 interleaved
+// uncoalesced/coalesced pairs. An optimized, unsanitized build exits 1 below
+// the floor; debug or sanitized builds report the ratio as advisory only,
+// because their timings do not measure the optimized fast path. The other
+// per-operation costs (lookup, check, the single notification) are
+// perfbench's probes.
 //
-// Usage: bench_hotpath [--quick]   (writes BENCH_hotpath.json)
+// Usage: bench_hotpath   (writes BENCH_hotpath.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_report.h"
 #include "kern/kernel.h"
 #include "kern/netlink.h"
-#include "kern/permission_monitor.h"
-#include "kern/process_table.h"
-#include "util/rng.h"
 
 using namespace overhaul;
 
 namespace {
 
-// --quick shrinks the loops to a pipeline smoke (check.sh --bench); the
-// reported numbers are then not measurements.
-int g_lookup_iters = 4'000'000;
-int g_check_iters = 2'000'000;
-int g_notify_iters = 1'000'000;
-int g_reps = 5;
-int g_notify_pairs = 11;
-
-volatile std::uint64_t g_sink = 0;
-
+constexpr int kNotifyIters = 1'000'000;
+constexpr int kNotifyPairs = 11;
 constexpr double kSpeedupFloor = 3.0;
 
-double time_seconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-// Best-of-reps wall time for `fn`, converted to ns per `ops`.
-double best_ns_per_op(int ops, const std::function<void()>& fn) {
-  double best = 1e99;
-  fn();  // warmup
-  for (int rep = 0; rep < g_reps; ++rep) best = std::min(best, time_seconds(fn));
-  return best / ops * 1e9;
-}
-
-// --- lookup ------------------------------------------------------------------
-
-double run_lookup(double* handle_get_ns) {
-  sim::Clock clock;
-  kern::ProcessTable table;
-  std::vector<kern::Pid> pids;
-  std::vector<kern::TaskHandle> handles;
-  for (int i = 0; i < 1'023; ++i) pids.push_back(table.fork(1).value());
-  for (auto pid : pids) handles.push_back(table.handle_of(pid));
-
-  // Pre-shuffled access order so the branch predictor sees realistic chaos
-  // but the timed loop does no RNG work.
-  util::Rng rng(42);
-  std::vector<std::uint32_t> order(8192);
-  for (auto& o : order)
-    o = static_cast<std::uint32_t>(rng.next_below(pids.size()));
-
-  const double lookup_ns = best_ns_per_op(g_lookup_iters, [&] {
-    std::uint64_t acc = 0;
-    for (int i = 0; i < g_lookup_iters; ++i) {
-      const auto* t = table.lookup_live(pids[order[i & 8191]]);
-      acc += static_cast<std::uint64_t>(t->pid);
-    }
-    g_sink = g_sink + acc;
-  });
-  *handle_get_ns = best_ns_per_op(g_lookup_iters, [&] {
-    std::uint64_t acc = 0;
-    for (int i = 0; i < g_lookup_iters; ++i) {
-      const auto* t = table.get_live(handles[order[i & 8191]]);
-      acc += static_cast<std::uint64_t>(t->pid);
-    }
-    g_sink = g_sink + acc;
-  });
-  return lookup_ns;
-}
-
-// --- check -------------------------------------------------------------------
-
-double run_check() {
-  sim::Clock clock;
-  kern::ProcessTable table;
-  audit::Sink audit;
-  kern::PermissionMonitor monitor(table, clock, audit);
-  monitor.set_audit_enabled(false);  // Table-I bench config: no log, no trace
-  const kern::Pid app = table.fork(1).value();
-  clock.advance(sim::Duration::seconds(1));
-  if (!monitor.record_interaction(app, clock.now())) return -1;
-  const sim::Timestamp ts = clock.now();
-
-  return best_ns_per_op(g_check_iters, [&] {
-    std::uint64_t grants = 0;
-    for (int i = 0; i < g_check_iters; ++i) {
-      grants += monitor.check(app, util::Op::kMicrophone, ts, "/dev/mic0") ==
-                        util::Decision::kGrant
-                    ? 1u
-                    : 0u;
-    }
-    g_sink = g_sink + grants;
-  });
-}
-
-// --- notify / coalesced-notify ----------------------------------------------
-//
 // Same workload both times: a same-pid burst with 1 ms spacing (mouse-motion
 // cadence). With coalescing off every event is a kernel crossing; with the
 // 10 ms skew window ~10 events collapse into one.
@@ -149,13 +56,14 @@ struct NotifyRig {
   }
 
   double burst_ns_per_event() {
-    return time_seconds([&] {
-             for (int i = 0; i < g_notify_iters; ++i) {
-               clock.advance(sim::Duration::millis(1));
-               (void)channel->send_interaction({app, clock.now()});
-             }
-           }) /
-           g_notify_iters * 1e9;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kNotifyIters; ++i) {
+      clock.advance(sim::Duration::millis(1));
+      (void)channel->send_interaction({app, clock.now()});
+    }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() / kNotifyIters;
   }
 
   sim::Clock clock;
@@ -167,30 +75,31 @@ struct NotifyRig {
 struct NotifyResult {
   double notify_ns = 1e99;     // best burst, coalescing off
   double coalesced_ns = 1e99;  // best burst, coalescing on
-  double speedup = 0;          // median of the per-pair ratios
-  double speedup_min = 0;
-  double speedup_max = 0;
+  bench::RatioSpread speedup;  // over the per-pair ratios
 };
 
 // The gated ratio is the median over interleaved pairs: each pair times a
 // fresh uncoalesced rig, then a fresh coalescing one, back to back, so host
-// drift cancels within the pair and no single allocation layout or host
-// phase decides the verdict.
+// drift cancels within the pair and no single host phase decides the
+// verdict. The rigs live on the heap: the merge path's speed depends on
+// where the channel lands, and built on the stack of an otherwise idle
+// process the coalescing rig's channel lands where the ratio reads 1.2-1.4x
+// instead of 3.1-3.4x.
 NotifyResult run_notify() {
   NotifyResult r;
   std::vector<double> ratios;
-  for (int pair = 0; pair < g_notify_pairs; ++pair) {
-    NotifyRig plain(false);
-    NotifyRig merged(true);
-    (void)plain.burst_ns_per_event();  // warmup
-    (void)merged.burst_ns_per_event();
-    const double p = plain.burst_ns_per_event();
-    const double m = merged.burst_ns_per_event();
+  for (int pair = 0; pair < kNotifyPairs; ++pair) {
+    auto plain = std::make_unique<NotifyRig>(false);
+    auto merged = std::make_unique<NotifyRig>(true);
+    (void)plain->burst_ns_per_event();  // warmup
+    (void)merged->burst_ns_per_event();
+    const double p = plain->burst_ns_per_event();
+    const double m = merged->burst_ns_per_event();
     r.notify_ns = std::min(r.notify_ns, p);
     r.coalesced_ns = std::min(r.coalesced_ns, m);
     ratios.push_back(p / m);
     // Sanity: the coalescing run actually merged (≥80% of events absorbed).
-    const auto& st = merged.channel->stats();
+    const auto& st = merged->channel->stats();
     if (st.interactions_merged * 5 < st.interactions_sent * 4) {
       std::fprintf(stderr,
                    "warning: coalescing merged only %llu of %llu events\n",
@@ -198,75 +107,46 @@ NotifyResult run_notify() {
                    static_cast<unsigned long long>(st.interactions_sent));
     }
   }
-  const bench::RatioSpread spread = bench::ratio_spread(std::move(ratios));
-  r.speedup = spread.median;
-  r.speedup_min = spread.min;
-  r.speedup_max = spread.max;
+  r.speedup = bench::ratio_spread(std::move(ratios));
   return r;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  if (quick) {
-    g_lookup_iters /= 200;
-    g_check_iters /= 200;
-    g_notify_iters /= 200;
-    g_reps = 1;
-    g_notify_pairs = 1;
-    std::printf("(--quick: iteration counts divided by 200, 1 repetition — "
-                "pipeline smoke, not a measurement)\n");
-  }
+int main() {
+  const NotifyResult r = run_notify();
 
-  std::printf("Mediation fast path (best of %d reps)\n\n", g_reps);
-
-  double handle_get_ns = 0;
-  const double lookup_ns = run_lookup(&handle_get_ns);
-  const double check_ns = run_check();
-  const NotifyResult notify = run_notify();
-  const double speedup = notify.speedup;
-
-  std::printf("%-18s %10.1f ns/op   (pid -> task, 1023-task slab)\n",
-              "lookup", lookup_ns);
-  std::printf("%-18s %10.1f ns/op   (generation-checked TaskHandle)\n",
-              "handle-get", handle_get_ns);
-  std::printf("%-18s %10.1f ns/op   (grant path, audit/trace off)\n",
-              "check", check_ns);
-  std::printf("%-18s %10.1f ns/op   (every event crosses)\n",
-              "notify", notify.notify_ns);
+  std::printf("Netlink coalescing (best burst of %d interleaved pairs)\n\n",
+              kNotifyPairs);
+  std::printf("%-18s %10.1f ns/op   (every event crosses)\n", "notify",
+              r.notify_ns);
   std::printf("%-18s %10.1f ns/op   (10 ms skew, 1 ms spacing)\n",
-              "coalesced-notify", notify.coalesced_ns);
+              "coalesced-notify", r.coalesced_ns);
   std::printf("\ncoalescing speedup: %.2fx per event, median of %d "
               "interleaved pairs (%.2f-%.2fx; gate: >= %.0fx)\n",
-              speedup, g_notify_pairs, notify.speedup_min,
-              notify.speedup_max, kSpeedupFloor);
+              r.speedup.median, kNotifyPairs, r.speedup.min, r.speedup.max,
+              kSpeedupFloor);
 
   bench::JsonReport report("hotpath");
-  report.add_raw("quick", quick ? "true" : "false");
-  report.add("reps", g_reps);
-  report.add("lookup_ns_per_op", lookup_ns);
-  report.add("handle_get_ns_per_op", handle_get_ns);
-  report.add("check_ns_per_op", check_ns);
-  report.add("notify_ns_per_op", notify.notify_ns);
-  report.add("coalesced_notify_ns_per_op", notify.coalesced_ns);
-  report.add("notify_pairs", g_notify_pairs);
-  report.add("coalesce_speedup", speedup);
-  report.add("coalesce_speedup_min", notify.speedup_min);
-  report.add("coalesce_speedup_max", notify.speedup_max);
+  report.add("notify_ns_per_op", r.notify_ns);
+  report.add("coalesced_notify_ns_per_op", r.coalesced_ns);
+  report.add("notify_pairs", kNotifyPairs);
+  report.add("coalesce_speedup", r.speedup.median);
+  report.add("coalesce_speedup_min", r.speedup.min);
+  report.add("coalesce_speedup_max", r.speedup.max);
   (void)report.write("BENCH_hotpath.json");
 
-  if (quick || !bench::kOptimizedBuild) {
-    std::printf("(%s: speedup gate advisory, not enforced)\n",
-                quick ? "--quick" : "debug or sanitized build");
+  if (!bench::kOptimizedBuild) {
+    std::printf("(debug or sanitized build: speedup gate advisory, not "
+                "enforced)\n");
     return 0;
   }
-  if (speedup < kSpeedupFloor) {
+  if (r.speedup.median < kSpeedupFloor) {
     std::fprintf(stderr,
                  "bench_hotpath: GATE FAILED — coalesced notify only %.2fx "
                  "cheaper per event than the per-event crossing (want >= "
                  "%.0fx)\n",
-                 speedup, kSpeedupFloor);
+                 r.speedup.median, kSpeedupFloor);
     return 1;
   }
   return 0;

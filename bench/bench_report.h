@@ -1,6 +1,6 @@
 // BENCH_*.json writer: every bench harness dumps its headline numbers (and,
 // where a live system is at hand, an obs metrics snapshot) next to its text
-// output, so repeated runs accumulate a machine-readable perf trajectory.
+// output, so a run's numbers and gate verdicts can be read by a program.
 //
 // The report is one flat JSON object built key-by-key in insertion order.
 // Values are either scalars (escaped here) or pre-rendered JSON fragments

@@ -41,8 +41,8 @@ int g_scale = 1;
 core::DisplayBackendKind g_backend = core::DisplayBackendKind::kX11;
 
 // --quick rows are single-repetition smoke readings: they are emitted for
-// the trajectory record but marked non-gating so bench_gate / bench_diff
-// never fail CI on a number with no spread behind it.
+// the record but marked non-gating so bench_gate never fails CI on a
+// number with no spread behind it.
 bool g_gating = true;
 
 // --ci enables MAD-based outlier rejection: a shared CI box takes scheduling
@@ -553,6 +553,7 @@ int main(int argc, char** argv) {
               "substrate the added per-op cost (a timestamp compare + a\n"
               "netlink query / page-state check) sits at or below the "
               "machine's noise floor, so\nmedians may come out slightly "
-              "negative; see bench_micro for isolated per-mechanism costs.\n");
+              "negative; perfbench --trace 1 reports the added ns per\n"
+              "operation.\n");
   return 0;
 }

@@ -63,19 +63,6 @@ struct OverhaulConfig {
   int screen_width = 1024;
   int screen_height = 768;
 
-  // Multi-seat fleet sizing (src/fleet/, DESIGN.md §14). A single
-  // OverhaulSystem always boots exactly one seat; fleet::FleetHarness reads
-  // this to decide how many shards to boot when constructed from an
-  // OverhaulConfig. Kept here so config files can say `fleet_shards 64`.
-  int fleet_shards = 1;
-
-  // Worker lanes for the fleet's parallel stepping engine (DESIGN.md §15).
-  // 1 = serial; N > 1 steps shards on N lanes with a barrier per fleet
-  // quantum. Bit-identical results either way (the equivalence property
-  // test holds this), so config files can size it to the machine freely:
-  // `fleet_threads 4`.
-  int fleet_threads = 1;
-
   // Prepended to every metric this system's kernel registers — the fleet
   // harness boots shard k with "fleet.shard<k>." so shard registries roll
   // up without name collisions. Empty (no prefix) for single-seat boots.

@@ -126,26 +126,6 @@ Result<OverhaulConfig> parse_config(const std::string& text) {
                       "line " + std::to_string(line_no) +
                           ": shared_secret must not be empty");
       cfg.shared_secret = value;
-    } else if (key == "fleet_shards") {
-      int n = 0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), n);
-      if (ec != std::errc{} || ptr != value.data() + value.size() || n < 1)
-        return Status(Code::kInvalidArgument,
-                      "line " + std::to_string(line_no) +
-                          ": fleet_shards must be a positive integer, got '" +
-                          value + "'");
-      cfg.fleet_shards = n;
-    } else if (key == "fleet_threads") {
-      int n = 0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), n);
-      if (ec != std::errc{} || ptr != value.data() + value.size() || n < 1)
-        return Status(Code::kInvalidArgument,
-                      "line " + std::to_string(line_no) +
-                          ": fleet_threads must be a positive integer, got '" +
-                          value + "'");
-      cfg.fleet_threads = n;
     } else if (key == "screen") {
       int w = 0, h = 0;
       if (std::sscanf(value.c_str(), "%dx%d", &w, &h) != 2 || w <= 0 || h <= 0)
@@ -190,8 +170,6 @@ std::string render_config(const OverhaulConfig& config) {
                                                          : "input-driven")
       << "\n"
       << "shared_secret = " << config.shared_secret << "\n"
-      << "fleet_shards = " << config.fleet_shards << "\n"
-      << "fleet_threads = " << config.fleet_threads << "\n"
       << "screen = " << config.screen_width << "x" << config.screen_height
       << "\n";
   return out.str();

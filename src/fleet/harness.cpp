@@ -31,7 +31,6 @@ FleetHarness::FleetHarness(FleetConfig config)
 std::unique_ptr<Shard> FleetHarness::build_shard(ShardId id,
                                                  sim::Duration epoch) const {
   core::OverhaulConfig cfg = config_.base;
-  cfg.fleet_shards = 1;  // each shard is exactly one seat
   cfg.display_backend = backend_for(config_.mix, id);
   cfg.metrics_prefix = "fleet.shard" + std::to_string(id) + ".";
   return std::make_unique<Shard>(id, epoch, std::move(cfg));

@@ -77,19 +77,6 @@ struct FleetConfig {
   // overridden per shard; everything else (δ, coalescing, monitor mode,
   // audit, trace) applies to every seat.
   core::OverhaulConfig base;
-
-  // Lift a single-system config into a fleet: `fleet_shards` becomes the
-  // shard count and the configured backend becomes a uniform mix.
-  [[nodiscard]] static FleetConfig from(const core::OverhaulConfig& cfg) {
-    FleetConfig fc;
-    fc.shards = cfg.fleet_shards;
-    fc.threads = cfg.fleet_threads;
-    fc.mix = cfg.display_backend == core::DisplayBackendKind::kWayland
-                 ? BackendMix::kWayland
-                 : BackendMix::kX11;
-    fc.base = cfg;
-    return fc;
-  }
 };
 
 class FleetHarness {

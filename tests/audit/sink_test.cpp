@@ -2,7 +2,8 @@
 // the rendered lines. decisions.golden pins the rendering: it holds the 64
 // lines the text log printed for the seeded stream below (seed 99, 200
 // decisions, a 64-record ring), and both the decoded Sink and the audit_dump
-// CLI (run as a subprocess) must reproduce it byte for byte.
+// CLI (run as a subprocess) must reproduce it byte for byte; the CLI's
+// --deny and --stats views must match its DENY lines and its totals.
 #include "audit/sink.h"
 
 #include <gtest/gtest.h>
@@ -133,10 +134,10 @@ struct DumpRun {
   int exit_code = -1;
 };
 
-// Runs the real decoder binary over a snapshot file.
-DumpRun run_audit_dump(const std::string& path) {
+// Runs the real decoder binary over a snapshot file, after `flags`.
+DumpRun run_audit_dump(const std::string& path, const std::string& flags = "") {
   const std::string cmd =
-      std::string(AUDIT_DUMP_BIN) + " " + path + " 2>/dev/null";
+      std::string(AUDIT_DUMP_BIN) + " " + flags + " " + path + " 2>/dev/null";
   std::FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   if (pipe == nullptr) return {};
@@ -149,15 +150,60 @@ DumpRun run_audit_dump(const std::string& path) {
   return run;
 }
 
-TEST(AuditDump, OutputMatchesAuditLogFormatLineForLine) {
+// Writes the golden's stream (seed 99, 200 decisions, a 64-record ring) to
+// a snapshot file and returns its path.
+std::string golden_snapshot(const char* name) {
   Sink sink(64);
   fill(&sink, 99, 200);
-  const std::string path = ::testing::TempDir() + "/audit_dump_test.bin";
+  const std::string path = ::testing::TempDir() + "/" + name;
   std::string error;
-  ASSERT_TRUE(write_snapshot_file(sink.ring(), path, &error)) << error;
+  EXPECT_TRUE(write_snapshot_file(sink.ring(), path, &error)) << error;
+  return path;
+}
+
+TEST(AuditDump, OutputMatchesAuditLogFormatLineForLine) {
+  const std::string path = golden_snapshot("audit_dump_test.bin");
   const DumpRun run = run_audit_dump(path);
   EXPECT_EQ(run.exit_code, 0);
   EXPECT_EQ(run.out, golden());
+  std::remove(path.c_str());
+}
+
+TEST(AuditDump, DenyPrintsTheGoldensDenyLinesInOrder) {
+  std::istringstream lines(golden());
+  std::string expected;
+  int denials = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" DENY ") == std::string::npos) continue;
+    expected += line + "\n";
+    ++denials;
+  }
+  ASSERT_EQ(denials, 31);
+  const std::string path = golden_snapshot("audit_dump_deny.bin");
+  const DumpRun run = run_audit_dump(path, "--deny");
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_EQ(run.out, expected);
+  std::remove(path.c_str());
+}
+
+TEST(AuditDump, StatsPrintsTheRingTotals) {
+  const std::string path = golden_snapshot("audit_dump_stats.bin");
+  const DumpRun run = run_audit_dump(path, "--stats");
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_EQ(run.out,
+            "records   64\n"
+            "grants    33\n"
+            "denials   31\n"
+            "appended  200\n"
+            "dropped   136\n");
+  std::remove(path.c_str());
+}
+
+TEST(AuditDump, UnknownFlagExitsTwo) {
+  const std::string path = golden_snapshot("audit_dump_flag.bin");
+  const DumpRun run = run_audit_dump(path, "--bogus");
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_TRUE(run.out.empty());
   std::remove(path.c_str());
 }
 

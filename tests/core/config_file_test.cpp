@@ -29,8 +29,6 @@ prompt_mode = on
 grant_policy = acg
 shared_secret = my-parrot
 alert_duration_ms = 6000
-fleet_shards = 64
-fleet_threads = 4
 screen = 1920x1080
 )";
   auto cfg = parse_config(text);
@@ -45,17 +43,20 @@ screen = 1920x1080
   EXPECT_EQ(c.grant_policy, kern::GrantPolicy::kAcg);
   EXPECT_EQ(c.shared_secret, "my-parrot");
   EXPECT_EQ(c.alert_duration, sim::Duration::millis(6000));
-  EXPECT_EQ(c.fleet_shards, 64);
-  EXPECT_EQ(c.fleet_threads, 4);
   EXPECT_EQ(c.screen_width, 1920);
   EXPECT_EQ(c.screen_height, 1080);
 }
 
 TEST(ConfigFile, UnknownKeyIsAnError) {
-  auto cfg = parse_config("dleta_ms = 2000\n");  // typo must not be ignored
-  ASSERT_FALSE(cfg.is_ok());
-  EXPECT_EQ(cfg.code(), Code::kInvalidArgument);
-  EXPECT_NE(cfg.status().message().find("line 1"), std::string::npos);
+  // A typo must not be ignored, nor a fleet key: a single system has no
+  // fleet to size.
+  for (const char* line : {"dleta_ms = 2000\n", "fleet_threads = 4\n"}) {
+    auto cfg = parse_config(line);
+    ASSERT_FALSE(cfg.is_ok()) << line;
+    EXPECT_EQ(cfg.code(), Code::kInvalidArgument);
+    EXPECT_NE(cfg.status().message().find("line 1"), std::string::npos);
+    EXPECT_NE(cfg.status().message().find("unknown key"), std::string::npos);
+  }
 }
 
 TEST(ConfigFile, MalformedValuesRejectedWithLineNumbers) {
@@ -64,10 +65,6 @@ TEST(ConfigFile, MalformedValuesRejectedWithLineNumbers) {
   EXPECT_FALSE(parse_config("delta_ms = -5\n").is_ok());
   EXPECT_FALSE(parse_config("delta_ms = 0\n").is_ok());
   EXPECT_FALSE(parse_config("screen = huge\n").is_ok());
-  EXPECT_FALSE(parse_config("fleet_shards = 0\n").is_ok());
-  EXPECT_FALSE(parse_config("fleet_shards = many\n").is_ok());
-  EXPECT_FALSE(parse_config("fleet_threads = 0\n").is_ok());
-  EXPECT_FALSE(parse_config("fleet_threads = many\n").is_ok());
   EXPECT_FALSE(parse_config("grant_policy = maybe\n").is_ok());
   EXPECT_FALSE(parse_config("shared_secret =\n").is_ok());
   EXPECT_FALSE(parse_config("justakey\n").is_ok());
@@ -119,8 +116,6 @@ TEST(ConfigFile, RenderRoundTrips) {
   original.prompt_mode = true;
   original.grant_policy = kern::GrantPolicy::kAcg;
   original.shared_secret = "round-trip";
-  original.fleet_shards = 16;
-  original.fleet_threads = 8;
   original.screen_width = 800;
   original.screen_height = 600;
 
@@ -132,8 +127,6 @@ TEST(ConfigFile, RenderRoundTrips) {
   EXPECT_EQ(c.prompt_mode, original.prompt_mode);
   EXPECT_EQ(c.grant_policy, original.grant_policy);
   EXPECT_EQ(c.shared_secret, original.shared_secret);
-  EXPECT_EQ(c.fleet_shards, original.fleet_shards);
-  EXPECT_EQ(c.fleet_threads, original.fleet_threads);
   EXPECT_EQ(c.screen_width, original.screen_width);
 }
 

@@ -1,7 +1,7 @@
 // FleetHarness battery: shard lifecycle (boot/drain/reap, boot storms),
 // shard isolation, per-shard metric prefixes with aggregate-on-read rollups,
-// the XShardStamp clock-domain translation edges, and a 64-shard smoke run
-// under the default coalescing knobs.
+// the XShardStamp clock-domain translation edges, and a smoke run under the
+// default coalescing knobs at 64 seats and, storm-booted on 4 lanes, at 1024.
 //
 // The cross-shard P2 oracle property test lives in xshard_p2_test.cpp; this
 // file covers everything about the fleet *except* the stamp-equivalence
@@ -156,16 +156,6 @@ TEST(XShardSocketPair, PreEpochStampDeniesFreshnessToLateShard) {
 }
 
 // --- FleetConfig -------------------------------------------------------------
-
-TEST(FleetConfig, FromLiftsSingleSystemConfig) {
-  core::OverhaulConfig cfg;
-  cfg.fleet_shards = 5;
-  cfg.display_backend = core::DisplayBackendKind::kWayland;
-  const FleetConfig fc = FleetConfig::from(cfg);
-  EXPECT_EQ(fc.shards, 5);
-  EXPECT_EQ(fc.mix, BackendMix::kWayland);
-  EXPECT_EQ(fc.base.display_backend, core::DisplayBackendKind::kWayland);
-}
 
 TEST(FleetConfig, MixedAlternatesBackendsByShardId) {
   FleetHarness f(small_fleet(4, BackendMix::kMixed));
@@ -411,27 +401,48 @@ TEST(FleetMetrics, SeatPixelBytesCountOnlyDrawnWindows) {
   }
 }
 
-// --- 64-shard smoke under the default coalescing knobs -----------------------
+// --- fleet smoke under the default coalescing knobs --------------------------
 
-TEST(FleetSmoke, SixtyFourShardsMixedBackendsWithCoalescing) {
-  FleetConfig fc = small_fleet(64, BackendMix::kMixed);
+// Boots `seats` mixed-backend seats, all at once or by a staggered storm,
+// with one session each, grants every session inside δ, then drains and
+// reaps eight seats and keeps stepping: every seat must come up live with
+// its session, and the rollups must count each live seat exactly once.
+void run_fleet_smoke(int seats, bool storm, int threads) {
+  FleetConfig fc = small_fleet(seats, BackendMix::kMixed);
   ASSERT_TRUE(fc.base.netlink_coalesce);  // the knob under test stays on
   fc.base.trace = false;                  // keep the smoke run lean
+  fc.threads = threads;
   FleetHarness f(fc);
-  auto pids = boot_with_sessions(f);
-  ASSERT_EQ(f.live_count(), 64);
+  if (storm) {
+    f.schedule_boot_storm(seats, fc.boot_stagger);
+    while (f.shard_count() < seats) f.step();
+  } else {
+    f.boot_fleet();
+  }
+  std::vector<kern::Pid> pids;
+  for (ShardId id = 0; id < f.shard_count(); ++id) {
+    auto session = f.shard(id).launch_session("/usr/bin/seat-app", "seat-app");
+    ASSERT_TRUE(session.is_ok())
+        << "shard " << id << ": " << session.status().to_string();
+    pids.push_back(session.value().pid);
+  }
+  // Fleet time passing makes the sessions' surfaces interaction-eligible.
+  f.advance(Duration::millis(600));
+  ASSERT_EQ(f.live_count(), seats);
 
   // One click per seat, then a decision per seat inside δ.
-  for (ShardId id = 0; id < 64; ++id) f.shard(id).system().input().click(50, 50);
+  for (ShardId id = 0; id < seats; ++id)
+    f.shard(id).system().input().click(50, 50);
   f.advance(Duration::millis(50));
-  for (ShardId id = 0; id < 64; ++id) {
+  for (ShardId id = 0; id < seats; ++id) {
     EXPECT_EQ(f.shard(id).kernel().monitor().check_now(pids[id],
                                                        Op::kMicrophone,
                                                        "smoke"),
               Decision::kGrant)
         << "shard " << id;
   }
-  EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), 64u);
+  const auto live = static_cast<std::uint64_t>(seats);
+  EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), live);
   EXPECT_EQ(f.aggregate_counter("monitor.decisions.denied"), 0u);
   EXPECT_GT(f.rss_proxy_bytes(), 0u);
   EXPECT_GT(f.steps_taken(), 0u);
@@ -441,9 +452,19 @@ TEST(FleetSmoke, SixtyFourShardsMixedBackendsWithCoalescing) {
     ASSERT_TRUE(f.drain_shard(id).is_ok());
     ASSERT_TRUE(f.reap_shard(id).is_ok());
   }
-  EXPECT_EQ(f.live_count(), 56);
+  EXPECT_EQ(f.live_count(), seats - 8);
   f.advance(Duration::millis(50));
-  EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), 56u);
+  EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), live - 8);
+}
+
+TEST(FleetSmoke, SixtyFourShardsMixedBackendsWithCoalescing) {
+  run_fleet_smoke(64, /*storm=*/false, /*threads=*/1);
+}
+
+// The fleet's scale floor: a 1024-seat boot storm, built and stepped on 4
+// lanes, leaves at least 1000 concurrent sessions live — all 1024 here.
+TEST(FleetSmoke, ThousandTwentyFourShardsStormBootedOnFourLanes) {
+  run_fleet_smoke(1024, /*storm=*/true, /*threads=*/4);
 }
 
 }  // namespace

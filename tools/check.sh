@@ -6,13 +6,16 @@
 #   tools/check.sh asan            # any preset from CMakePresets.json
 #   tools/check.sh tsan
 #   tools/check.sh --metrics       # additionally smoke the BENCH_*.json path
-#   tools/check.sh --bench         # additionally run the repository
-#                                  # benchmark's self-test (perfbench/),
-#                                  # smoke the perf benches (bench_hotpath,
-#                                  # bench_table1, bench_lint, bench_fleet,
-#                                  # bench_audit + the trajectory diff gate)
-#                                  # and run the hotpath, fleet and audit
-#                                  # speedup gates from the Release build
+#   tools/check.sh --bench         # additionally run, in order: the
+#                                  # repository benchmark's self-test
+#                                  # (perfbench/), the bench_table1 wl smoke,
+#                                  # the coalescing gate (bench_hotpath), the
+#                                  # Table I interval gate (bench_table1 --ci
+#                                  # + bench_gate), the fleet engine and
+#                                  # binary audit gates (bench_fleet,
+#                                  # bench_audit) and the analyzer cache gate
+#                                  # (bench_lint --quick); the three speedup
+#                                  # gates run from the Release build
 #   JOBS=4 tools/check.sh          # override parallelism
 #
 # --metrics and --bench combine, in any order, before the preset name.
@@ -97,61 +100,42 @@ if [ "$BENCH" = 1 ]; then
   step "perfbench --selftest (repository benchmark harness)"
   python3 perfbench/run.py --selftest
 
-  step "bench smoke (bench_hotpath + bench_table1 wl, --quick)"
+  step "bench smoke (bench_table1 wl, --quick)"
   (cd "$BUILD_DIR" &&
-    ./bench/bench_hotpath --quick >/dev/null &&
-    ./tools/obs/json_check BENCH_hotpath.json &&
     ./bench/bench_table1 --quick --backend=wl >/dev/null &&
     ./tools/obs/json_check BENCH_table1_wl.json)
+
+  # The three design-claim gates each take a median over interleaved pairs
+  # and are enforced only in an optimized, unsanitized build, so each runs
+  # once, at full length, from the Release tree built above: coalesced
+  # notify >= 3x cheaper per event, the 4-lane fleet sweep >= 2x the serial
+  # decisions/sec (plus its determinism check), binary audit append >= 3x
+  # faster than the text path.
+  step "bench_hotpath (coalescing speedup gate, Release build)"
+  (cd build-rel &&
+    ./bench/bench_hotpath &&
+    ./tools/obs/json_check BENCH_hotpath.json)
 
   # Gated Table-I run: --ci keeps 5 repetitions + warmup so each row's
   # ratio_min/ratio_max interval is real, then bench_gate passes rows whose
   # interval straddles 1.0 (noise) or sits below it (improvement) and fails
   # only when a whole interval exceeds the threshold — a CI-bounds verdict,
   # not a point-estimate one.
-  # The coalescing gate (coalesced notify >= 3x cheaper per event) is
-  # enforced only at full length in an optimized, unsanitized build, so it
-  # runs from the Release tree built above; the --quick smoke is advisory.
-  step "bench_hotpath (coalescing speedup gate, full length, Release build)"
-  (cd build-rel && ./bench/bench_hotpath)
-
   step "bench_table1 --ci + bench_gate (interval gate on ratio CI bounds)"
   (cd "$BUILD_DIR" &&
     ./bench/bench_table1 --ci >/dev/null &&
     ./tools/obs/json_check BENCH_table1.json &&
     ./tools/obs/bench_gate --threshold=1.25 --min-reps=5 BENCH_table1.json)
 
-  step "bench_fleet --quick (multi-seat fleet smoke + BENCH_fleet.json)"
-  (cd "$BUILD_DIR" &&
-    ./bench/bench_fleet --quick &&
+  step "bench_fleet (4-lane sweep speedup + determinism gates, Release build)"
+  (cd build-rel &&
+    ./bench/bench_fleet &&
     ./tools/obs/json_check BENCH_fleet.json)
 
-  # Binary audit append vs the text log path: the ratio is the reproduced
-  # quantity, and the JSON feeds the trajectory diff below. The --quick
-  # smoke only reports it.
-  step "bench_audit --quick (binary vs text append smoke + BENCH_audit.json)"
-  (cd "$BUILD_DIR" &&
-    ./bench/bench_audit --quick &&
+  step "bench_audit (binary append speedup gate, Release build)"
+  (cd build-rel &&
+    ./bench/bench_audit &&
     ./tools/obs/json_check BENCH_audit.json)
-
-  # The fleet engine's speedup gate (median 4-lane speedup >= 2x) and the
-  # binary append gate (median >= 3x) each take the median over 5
-  # interleaved pairs, and are enforced only at full length in an optimized,
-  # unsanitized build, so they run from the Release tree built above.
-  step "bench_fleet (4-lane sweep speedup gate, full length, Release build)"
-  (cd build-rel && ./bench/bench_fleet)
-
-  step "bench_audit (binary append speedup gate, full length, Release build)"
-  (cd build-rel && ./bench/bench_audit)
-
-  # Trajectory gate: this run's headline metrics (fleet decisions/sec, the
-  # hot-path ns/op family, the binary audit speedup) against the committed
-  # previous values. Catches order-of-magnitude mistakes; refresh with
-  # bench_diff --update when a change legitimately moves a metric.
-  step "bench trajectory diff (vs tools/bench_baseline.json)"
-  (cd "$BUILD_DIR" &&
-    ./tools/obs/bench_diff --baseline=../tools/bench_baseline.json \
-      --threshold=25 BENCH_fleet.json BENCH_hotpath.json BENCH_audit.json)
 
   step "bench_lint (analyzer cold/warm cache gate, --quick)"
   (cd "$BUILD_DIR" &&

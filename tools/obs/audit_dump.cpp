@@ -10,7 +10,7 @@
 // Usage:
 //   audit_dump SNAPSHOT            # one formatted line per record
 //   audit_dump --stats SNAPSHOT    # totals only (records, grants, denials,
-//                                  # lifetime appended/dropped, strings)
+//                                  # lifetime appended/dropped)
 //   audit_dump --deny SNAPSHOT     # only denied decisions
 //
 // Exit 0 on a valid snapshot; 1 on a corrupt/truncated/unsupported one
