@@ -12,22 +12,22 @@ using util::Status;
 
 Status PosixMq::send(TaskStruct& sender, std::string payload,
                      std::uint32_t priority) {
-  if (count_ >= max_messages_)
+  if (queue_.size() >= max_messages_)
     return Status(Code::kWouldBlock, "mq full");
   stamp_on_send(sender);
-  by_priority_[priority].push_back(Msg{std::move(payload)});
-  ++count_;
+  // Ahead of every queued message of the same or a higher priority.
+  const auto at = std::lower_bound(
+      queue_.begin(), queue_.end(), priority,
+      [](const Msg& m, std::uint32_t p) { return m.priority < p; });
+  queue_.insert(at, Msg{priority, std::move(payload)});
   return Status::ok();
 }
 
 Result<std::string> PosixMq::receive(TaskStruct& receiver) {
-  if (count_ == 0) return Status(Code::kWouldBlock, "mq empty");
+  if (queue_.empty()) return Status(Code::kWouldBlock, "mq empty");
   propagate_on_recv(receiver);
-  auto it = std::prev(by_priority_.end());  // highest priority
-  std::string payload = std::move(it->second.front().payload);
-  it->second.pop_front();
-  if (it->second.empty()) by_priority_.erase(it);
-  --count_;
+  std::string payload = std::move(queue_.back().payload);
+  queue_.pop_back();
   return payload;
 }
 

@@ -4,6 +4,10 @@
 // and message queues, UNIX SysV shared memory and message queues, ..."). The
 // send/receive functions carry the P2 interposition, so interaction
 // timestamps flow with messages regardless of queue discipline.
+//
+// A POSIX queue keeps its messages in one priority-ordered vector that
+// reuses its storage, so a warm queue moves a message without a heap
+// allocation beyond the payload.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "kern/ipc/ipc_object.h"
 #include "util/status.h"
@@ -30,17 +35,17 @@ class PosixMq : public IpcObject {
   // Receives the highest-priority message. kWouldBlock if empty.
   util::Result<std::string> receive(TaskStruct& receiver);
 
-  [[nodiscard]] std::size_t depth() const noexcept { return count_; }
+  [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
 
  private:
   struct Msg {
+    std::uint32_t priority;
     std::string payload;
   };
   std::size_t max_messages_;
-  std::size_t count_ = 0;
-  // priority → FIFO of messages; std::map keeps priorities sorted ascending,
-  // receive pops from the back (highest priority).
-  std::map<std::uint32_t, std::deque<Msg>> by_priority_;
+  // Ascending priority and, within a priority, newest first: receive pops
+  // the back, the oldest message of the highest priority.
+  std::vector<Msg> queue_;
 };
 
 // mq namespace ("/name" → queue).

@@ -3,12 +3,17 @@
 // write(2) is the send interposition point, read(2) the receive point
 // (§IV-B: "inserting checks inside the corresponding send and receive
 // functions for each IPC facility").
+//
+// The bytes live in one contiguous buffer with a read offset: a write
+// appends with one copy, a read copies one range out. The storage is kept
+// across messages, and compacted, so a warm pipe or FIFO moves a message
+// without touching the heap beyond the string read() returns.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "kern/ipc/ipc_object.h"
 #include "kern/task.h"
@@ -35,8 +40,14 @@ class Pipe : public IpcObject {
   // kWouldBlock when empty but writers remain.
   util::Result<std::string> read(TaskStruct& reader, std::size_t max_bytes);
 
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - head_;
+  }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  // Storage held, read or not: at most 4 × capacity() (see write()).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return buffer_.capacity();
+  }
 
   // End-of-stream bookkeeping (pipe ends are duplicated by fork).
   void add_writer() noexcept { ++writers_; }
@@ -48,7 +59,9 @@ class Pipe : public IpcObject {
 
  private:
   std::size_t capacity_;
-  std::deque<char> buffer_;
+  // Unread bytes are buffer_[head_, size()); write() drops the read prefix.
+  std::string buffer_;
+  std::size_t head_ = 0;
   // Counts are maintained by PipeEnd RAII handles; a bare Pipe has no ends.
   int writers_ = 0;
   int readers_ = 0;
@@ -70,6 +83,21 @@ class PipeEnd final : public FileDescription {
 
   [[nodiscard]] std::string describe() const override {
     return dir_ == Dir::kRead ? "pipe:r" : "pipe:w";
+  }
+  // Pipe::write / Pipe::read through the end open in that direction.
+  util::Result<std::size_t> file_write(TaskStruct& task,
+                                       std::string_view data) override {
+    if (dir_ != Dir::kWrite)
+      return util::Status(util::Code::kInvalidArgument,
+                          "fd not open for writing");
+    return pipe_->write(task, data);
+  }
+  util::Result<std::string> file_read(TaskStruct& task,
+                                      std::size_t max_bytes) override {
+    if (dir_ != Dir::kRead)
+      return util::Status(util::Code::kInvalidArgument,
+                          "fd not open for reading");
+    return pipe_->read(task, max_bytes);
   }
   [[nodiscard]] const std::shared_ptr<Pipe>& pipe() const { return pipe_; }
   [[nodiscard]] Dir dir() const noexcept { return dir_; }

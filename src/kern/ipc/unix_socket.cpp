@@ -11,25 +11,24 @@ Status UnixSocketEndpoint::send(TaskStruct& sender, std::string payload) {
   if (!pair_->open_[peer])
     return Status(Code::kBrokenChannel, "unix socket: peer closed");
   pair_->dir_[side_].stamp_on_send(sender);
-  pair_->half_[peer].queue.push_back(std::move(payload));
+  pair_->inbox_[peer].push(std::move(payload));
   return Status::ok();
 }
 
-Result<std::string> UnixSocketEndpoint::receive(TaskStruct& receiver) {
-  auto& inbox = pair_->half_[side_].queue;
+Result<std::string> UnixSocketEndpoint::receive(TaskStruct& receiver,
+                                                std::size_t max_bytes) {
+  auto& inbox = pair_->inbox_[side_];
   if (inbox.empty()) {
     if (!pair_->open_[1 - side_]) return std::string{};  // orderly EOF
     return Status(Code::kWouldBlock, "unix socket: empty");
   }
   // Adopt the timestamp of the *incoming* direction (stamped by the peer).
   pair_->dir_[1 - side_].propagate_on_recv(receiver);
-  std::string out = std::move(inbox.front());
-  inbox.pop_front();
-  return out;
+  return inbox.take(max_bytes);
 }
 
 std::size_t UnixSocketEndpoint::pending() const {
-  return pair_->half_[side_].queue.size();
+  return pair_->inbox_[side_].size();
 }
 
 bool UnixSocketEndpoint::peer_closed() const {

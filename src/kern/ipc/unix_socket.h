@@ -7,12 +7,13 @@
 // its own direction; the peer's receive adopts it.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "kern/ipc/ipc_object.h"
+#include "kern/ipc/message_fifo.h"
 #include "kern/task.h"
 #include "util/status.h"
 
@@ -30,7 +31,10 @@ class UnixSocketEndpoint {
       : pair_(std::move(pair)), side_(side) {}
 
   util::Status send(TaskStruct& sender, std::string payload);
-  util::Result<std::string> receive(TaskStruct& receiver);
+  // The next message whole (D-Bus relies on the boundaries), or up to
+  // max_bytes of it, as read(2) does: an unread tail stays queued first.
+  util::Result<std::string> receive(
+      TaskStruct& receiver, std::size_t max_bytes = std::string::npos);
 
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] bool peer_closed() const;
@@ -53,11 +57,8 @@ class UnixSocketPair : public std::enable_shared_from_this<UnixSocketPair> {
 
  private:
   friend class UnixSocketEndpoint;
-  struct Half {
-    std::deque<std::string> queue;
-  };
-  IpcObject dir_[2];   // dir_[i] stamps messages flowing from side i
-  Half half_[2];       // half_[i] holds messages destined for side i
+  IpcObject dir_[2];      // dir_[i] stamps messages flowing from side i
+  MessageFifo inbox_[2];  // inbox_[i] holds messages destined for side i
   bool open_[2] = {true, true};
 };
 
@@ -72,6 +73,16 @@ class SocketDescription final : public FileDescription {
   SocketDescription& operator=(const SocketDescription&) = delete;
 
   [[nodiscard]] std::string describe() const override { return "socket"; }
+  // UnixSocketEndpoint::send / receive.
+  util::Result<std::size_t> file_write(TaskStruct& task,
+                                       std::string_view data) override {
+    if (auto s = endpoint_.send(task, std::string(data)); !s.is_ok()) return s;
+    return data.size();
+  }
+  util::Result<std::string> file_read(TaskStruct& task,
+                                      std::size_t max_bytes) override {
+    return endpoint_.receive(task, max_bytes);
+  }
   [[nodiscard]] UnixSocketEndpoint& endpoint() { return endpoint_; }
 
  private:

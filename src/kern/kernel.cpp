@@ -269,66 +269,17 @@ Status Kernel::sys_mkfifo(Pid pid, const std::string& path) {
 Result<std::size_t> Kernel::sys_write(Pid pid, int fd, std::string_view data) {
   TaskStruct* task = processes_.lookup_live(pid);
   if (task == nullptr) return Status(Code::kNotFound, "write: no such process");
-  auto desc = task->fd(fd);
+  FileDescription* desc = task->fd(fd);
   if (desc == nullptr) return Status(Code::kInvalidArgument, "bad fd");
-
-  if (auto* pipe_end = dynamic_cast<PipeEnd*>(desc.get())) {
-    if (pipe_end->dir() != PipeEnd::Dir::kWrite)
-      return Status(Code::kInvalidArgument, "fd not open for writing");
-    return pipe_end->pipe()->write(*task, data);
-  }
-  if (auto* pty_end = dynamic_cast<PtyEndDescription*>(desc.get())) {
-    if (auto s = pty_end->pair()->write(*task, pty_end->end(),
-                                        std::string(data));
-        !s.is_ok())
-      return s;
-    return data.size();
-  }
-  if (auto* sock = dynamic_cast<SocketDescription*>(desc.get())) {
-    if (auto s = sock->endpoint().send(*task, std::string(data)); !s.is_ok())
-      return s;
-    return data.size();
-  }
-  if (auto* file = dynamic_cast<VfsFile*>(desc.get())) {
-    if (file->inode()->type == InodeType::kRegular)
-      file->inode()->size += data.size();
-    return data.size();  // device writes are sinks
-  }
-  return Status(Code::kNotSupported, "write: unsupported description");
+  return desc->file_write(*task, data);
 }
 
 Result<std::string> Kernel::sys_read(Pid pid, int fd, std::size_t max_bytes) {
   TaskStruct* task = processes_.lookup_live(pid);
   if (task == nullptr) return Status(Code::kNotFound, "read: no such process");
-  auto desc = task->fd(fd);
+  FileDescription* desc = task->fd(fd);
   if (desc == nullptr) return Status(Code::kInvalidArgument, "bad fd");
-
-  if (auto* pipe_end = dynamic_cast<PipeEnd*>(desc.get())) {
-    if (pipe_end->dir() != PipeEnd::Dir::kRead)
-      return Status(Code::kInvalidArgument, "fd not open for reading");
-    return pipe_end->pipe()->read(*task, max_bytes);
-  }
-  if (auto* pty_end = dynamic_cast<PtyEndDescription*>(desc.get())) {
-    auto data = pty_end->pair()->read(*task, pty_end->end());
-    if (!data.is_ok()) return data.status();
-    if (data.value().size() > max_bytes) data.value().resize(max_bytes);
-    return data;
-  }
-  if (auto* sock = dynamic_cast<SocketDescription*>(desc.get())) {
-    auto data = sock->endpoint().receive(*task);
-    if (!data.is_ok()) return data.status();
-    if (data.value().size() > max_bytes) data.value().resize(max_bytes);
-    return data;
-  }
-  if (auto* file = dynamic_cast<VfsFile*>(desc.get())) {
-    if (file->inode()->type == InodeType::kDevice) {
-      // Sensor data: a run of zero samples of the requested length.
-      return std::string(max_bytes, '\0');
-    }
-    const auto n = std::min<std::uint64_t>(max_bytes, file->inode()->size);
-    return std::string(static_cast<std::size_t>(n), '\0');
-  }
-  return Status(Code::kNotSupported, "read: unsupported description");
+  return desc->file_read(*task, max_bytes);
 }
 
 Result<std::pair<int, std::string>> Kernel::sys_openpt(Pid pid) {

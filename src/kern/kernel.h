@@ -119,7 +119,8 @@ class Kernel {
   util::Status sys_mkdir(Pid pid, const std::string& path);
   util::Status sys_mkfifo(Pid pid, const std::string& path);
 
-  // Generic fd read/write (pipes, fifo ends, plain files, devices).
+  // Generic fd read/write (pipe and fifo ends, sockets, pty ends, plain
+  // files, devices): one call to the description's file_write/file_read.
   util::Result<std::size_t> sys_write(Pid pid, int fd, std::string_view data);
   util::Result<std::string> sys_read(Pid pid, int fd, std::size_t max_bytes);
 

@@ -10,18 +10,17 @@ Status PtyPair::write(TaskStruct& writer, End end, std::string data) {
   // The pty driver's Overhaul hook: every write embeds the writer's
   // timestamp into the device structure.
   stamp_on_send(writer);
-  (end == End::kMaster ? to_slave_ : to_master_).push_back(std::move(data));
+  (end == End::kMaster ? to_slave_ : to_master_).push(std::move(data));
   return Status::ok();
 }
 
-Result<std::string> PtyPair::read(TaskStruct& reader, End end) {
+Result<std::string> PtyPair::read(TaskStruct& reader, End end,
+                                  std::size_t max_bytes) {
   auto& queue = end == End::kMaster ? to_master_ : to_slave_;
   if (queue.empty()) return Status(Code::kWouldBlock, "pty: no data");
   // The read hook: adopt the device's timestamp if fresher.
   propagate_on_recv(reader);
-  std::string out = std::move(queue.front());
-  queue.pop_front();
-  return out;
+  return queue.take(max_bytes);
 }
 
 std::shared_ptr<PtyPair> PtyDriver::open_pair() {

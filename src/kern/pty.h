@@ -13,12 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "kern/ipc/ipc_object.h"
+#include "kern/ipc/message_fifo.h"
 #include "util/status.h"
 
 namespace overhaul::kern {
@@ -41,8 +42,10 @@ class PtyPair : public IpcObject {
 
   // Write at one end; data becomes readable at the other.
   util::Status write(TaskStruct& writer, End end, std::string data);
-  // Read pending data at one end. kWouldBlock when none.
-  util::Result<std::string> read(TaskStruct& reader, End end);
+  // Read the next pending write at one end, or up to max_bytes of it: an
+  // unread tail stays first in line. kWouldBlock when none.
+  util::Result<std::string> read(TaskStruct& reader, End end,
+                                 std::size_t max_bytes = std::string::npos);
 
   [[nodiscard]] std::size_t pending(End end) const {
     return end == End::kMaster ? to_master_.size() : to_slave_.size();
@@ -50,8 +53,8 @@ class PtyPair : public IpcObject {
 
  private:
   int index_;
-  std::deque<std::string> to_slave_;   // master writes land here
-  std::deque<std::string> to_master_;  // slave writes land here
+  MessageFifo to_slave_;   // master writes land here
+  MessageFifo to_master_;  // slave writes land here
 };
 
 // Descriptor payload for an open pty end (master via posix_openpt, slave
@@ -63,6 +66,17 @@ class PtyEndDescription final : public FileDescription {
   [[nodiscard]] std::string describe() const override {
     return (end_ == PtyPair::End::kMaster ? "ptmx:" : "pts:") +
            std::to_string(pair_->index());
+  }
+  // PtyPair::write / read at this end.
+  util::Result<std::size_t> file_write(TaskStruct& task,
+                                       std::string_view data) override {
+    if (auto s = pair_->write(task, end_, std::string(data)); !s.is_ok())
+      return s;
+    return data.size();
+  }
+  util::Result<std::string> file_read(TaskStruct& task,
+                                      std::size_t max_bytes) override {
+    return pair_->read(task, end_, max_bytes);
   }
   [[nodiscard]] const std::shared_ptr<PtyPair>& pair() const { return pair_; }
   [[nodiscard]] PtyPair::End end() const noexcept { return end_; }

@@ -8,12 +8,14 @@
 // bookkeeping — not stubs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kern/devices.h"
@@ -76,6 +78,18 @@ class VfsFile final : public FileDescription {
   VfsFile(std::shared_ptr<Inode> inode, std::string path)
       : inode_(std::move(inode)), path_(std::move(path)) {}
   [[nodiscard]] std::string describe() const override { return "file:" + path_; }
+  // A regular file grows by what is written; a device node is a sink.
+  util::Result<std::size_t> file_write(TaskStruct& /*task*/,
+                                       std::string_view data) override {
+    if (inode_->type == InodeType::kRegular) inode_->size += data.size();
+    return data.size();
+  }
+  // A device yields max_bytes zero samples; a regular file up to its size.
+  util::Result<std::string> file_read(TaskStruct& /*task*/,
+                                      std::size_t max_bytes) override {
+    if (inode_->type == InodeType::kDevice) return std::string(max_bytes, '\0');
+    return std::string(std::min<std::uint64_t>(max_bytes, inode_->size), '\0');
+  }
   [[nodiscard]] const std::shared_ptr<Inode>& inode() const { return inode_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 

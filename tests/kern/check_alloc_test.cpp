@@ -18,6 +18,7 @@
 
 #include "audit/sink.h"
 #include "core/system.h"
+#include "kern/kernel.h"
 #include "kern/permission_monitor.h"
 #include "kern/process_table.h"
 #include "sim/clock.h"
@@ -220,6 +221,74 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(core::display_backend_name(info.param));
     });
+
+// The P2 message path (DESIGN.md §10): on a warm channel, each write+read
+// round trip of a 300-byte message allocates once. For a pipe or FIFO that
+// is the string sys_read returns; for a socket pair or POSIX mq it is the
+// payload copy the send makes, which the receive hands back.
+class MessagePathAllocTest : public ::testing::Test {
+ protected:
+  MessagePathAllocTest() {
+    a_ = k_.sys_spawn(1, "/usr/bin/a", "a").value();
+    b_ = k_.sys_spawn(1, "/usr/bin/b", "b").value();
+  }
+
+  template <typename RoundTrip>
+  void expect_one_allocation_each(RoundTrip&& round_trip) {
+    for (int i = 0; i < 4; ++i) round_trip();  // warm the channel
+    for (int i = 0; i < 64; ++i)
+      EXPECT_EQ(allocations_during(round_trip), 1u) << "round trip " << i;
+  }
+
+  // sys_write on `wfd` by a_, sys_read on `rfd` by b_.
+  void expect_fd_round_trips(int wfd, int rfd) {
+    expect_one_allocation_each([&] {
+      ASSERT_EQ(k_.sys_write(a_, wfd, payload_).value_or(0), payload_.size());
+      auto got = k_.sys_read(b_, rfd, 4096);
+      ASSERT_TRUE(got.is_ok());
+      ASSERT_EQ(got.value(), payload_);
+    });
+  }
+
+  sim::Clock clock_;
+  Kernel k_{clock_};
+  Pid a_ = kNoPid;
+  Pid b_ = kNoPid;
+  const std::string payload_ = std::string(300, 'm');
+};
+
+TEST_F(MessagePathAllocTest, Pipe) {
+  const auto [rfd, wfd] = k_.sys_pipe(a_).value();
+  k_.processes().lookup_live(b_)->fds[rfd] =
+      k_.processes().lookup_live(a_)->fds.at(rfd);
+  expect_fd_round_trips(wfd, rfd);
+}
+
+TEST_F(MessagePathAllocTest, Fifo) {
+  ASSERT_TRUE(k_.sys_mkfifo(a_, "/tmp/fifo").is_ok());
+  const int wfd = k_.sys_open(a_, "/tmp/fifo", OpenFlags::kWrite).value();
+  const int rfd = k_.sys_open(b_, "/tmp/fifo", OpenFlags::kRead).value();
+  expect_fd_round_trips(wfd, rfd);
+}
+
+TEST_F(MessagePathAllocTest, Socketpair) {
+  const auto [wfd, rfd] = k_.sys_socketpair(a_).value();
+  k_.processes().lookup_live(b_)->fds[rfd] =
+      k_.processes().lookup_live(a_)->fds.at(rfd);
+  expect_fd_round_trips(wfd, rfd);
+}
+
+TEST_F(MessagePathAllocTest, PosixMq) {
+  auto mq = k_.posix_mqs().open("/alloc", true).value();
+  TaskStruct& sender = *k_.processes().lookup_live(a_);
+  TaskStruct& receiver = *k_.processes().lookup_live(b_);
+  expect_one_allocation_each([&] {
+    ASSERT_TRUE(mq->send(sender, payload_, 0).is_ok());
+    auto got = mq->receive(receiver);
+    ASSERT_TRUE(got.is_ok());
+    ASSERT_EQ(got.value(), payload_);
+  });
+}
 
 // Sanity: the counter actually observes heap traffic (guards against the
 // shims being optimized out or not linked).

@@ -104,6 +104,44 @@ TEST_F(PipeTest, NoPropagationAtBaseline) {
   EXPECT_TRUE(pipe.stamp().is_never());
 }
 
+// Thousands of cycles that write k bytes and read fewer leave the pipe at
+// capacity with its read offset moving: the bytes come out in order, the
+// buffer never holds more than capacity(), and compaction keeps the
+// storage within 4 × capacity(). Drained to empty, the pipe takes the next
+// job's message, as a FIFO reused across jobs does.
+TEST_F(PipeTest, StorageStaysBoundedAcrossCycles) {
+  Pipe pipe(policy_, 1024);
+  pipe.add_reader();
+  pipe.add_writer();
+  std::string written;
+  std::string read;
+  int short_writes = 0;
+  for (int cycle = 0; cycle < 5000; ++cycle) {
+    const std::size_t k = 2 + static_cast<std::size_t>(cycle % 97);
+    const std::string chunk(k, static_cast<char>('a' + cycle % 26));
+    auto n = pipe.write(writer_, chunk);
+    if (n.is_ok()) {
+      written.append(chunk, 0, n.value());
+      short_writes += n.value() < k;
+    } else {
+      ASSERT_EQ(n.code(), Code::kWouldBlock);
+      ++short_writes;
+    }
+    auto out = pipe.read(reader_, k - 1);
+    ASSERT_TRUE(out.is_ok());
+    read += out.value();
+    ASSERT_LE(pipe.buffered(), pipe.capacity());
+    ASSERT_LE(pipe.bytes(), 4 * pipe.capacity());
+  }
+  EXPECT_GT(short_writes, 1000);  // the reader fell behind to capacity
+  while (pipe.buffered() > 0) read += pipe.read(reader_, 100).value();
+  EXPECT_EQ(read, written);
+
+  ASSERT_EQ(pipe.write(writer_, "next job").value_or(0), 8u);
+  EXPECT_EQ(pipe.read(reader_, 64).value_or("?"), "next job");
+  EXPECT_EQ(pipe.read(reader_, 64).code(), Code::kWouldBlock);
+}
+
 TEST_F(PipeTest, PipeEndRaiiMaintainsCounts) {
   auto pipe = std::make_shared<Pipe>(policy_);
   {

@@ -61,7 +61,8 @@ TEST_F(KernelTest, PipePropagatesInteraction) {
   const Pid b = spawn("b");
   auto fds = k_.sys_pipe(a).value();
   // Hand the read end to b (as a supervisor would via fd passing).
-  k_.processes().lookup(b)->fds[100] = k_.processes().lookup(a)->fd(fds.first);
+  k_.processes().lookup(b)->fds[100] =
+      k_.processes().lookup(a)->fds.at(fds.first);
   clock_.advance(sim::Duration::seconds(1));
   k_.monitor().record_interaction(a, clock_.now());
   ASSERT_TRUE(k_.sys_write(a, fds.second, "data").is_ok());
@@ -157,7 +158,8 @@ TEST_F(KernelTest, SocketpairPropagatesInteraction) {
   const Pid a = spawn("a");
   const Pid b = spawn("b");
   auto fds = k_.sys_socketpair(a).value();
-  k_.processes().lookup(b)->fds[50] = k_.processes().lookup(a)->fd(fds.second);
+  k_.processes().lookup(b)->fds[50] =
+      k_.processes().lookup(a)->fds.at(fds.second);
   clock_.advance(sim::Duration::seconds(1));
   k_.monitor().record_interaction(a, clock_.now());
   ASSERT_TRUE(k_.sys_write(a, fds.first, "msg").is_ok());
@@ -169,6 +171,19 @@ TEST_F(KernelTest, SocketpairEmptyReadWouldBlock) {
   const Pid a = spawn("a");
   auto fds = k_.sys_socketpair(a).value();
   EXPECT_EQ(k_.sys_read(a, fds.first, 8).code(), Code::kWouldBlock);
+}
+
+// A read shorter than the message leaves its tail queued for the next
+// read, as read(2) on a stream socket does, and keeps later messages whole.
+TEST_F(KernelTest, SocketpairShortReadKeepsTail) {
+  const Pid a = spawn("a");
+  auto fds = k_.sys_socketpair(a).value();
+  ASSERT_TRUE(k_.sys_write(a, fds.first, "hello").is_ok());
+  ASSERT_TRUE(k_.sys_write(a, fds.first, "world").is_ok());
+  EXPECT_EQ(k_.sys_read(a, fds.second, 2).value_or("?"), "he");
+  EXPECT_EQ(k_.sys_read(a, fds.second, 16).value_or("?"), "llo");
+  EXPECT_EQ(k_.sys_read(a, fds.second, 16).value_or("?"), "world");
+  EXPECT_EQ(k_.sys_read(a, fds.second, 16).code(), Code::kWouldBlock);
 }
 
 TEST_F(KernelTest, OpenptCreatesSlaveNode) {
@@ -212,6 +227,23 @@ TEST_F(KernelTest, PtyFdsPropagateInteraction) {
   ASSERT_TRUE(k_.sys_write(term, pt.first, "arecord\n").is_ok());
   ASSERT_TRUE(k_.sys_read(shell, slave_fd, 64).is_ok());
   EXPECT_EQ(k_.processes().lookup(shell)->interaction_ts, clock_.now());
+}
+
+// A short read at a pty end keeps the rest of the line for the next read,
+// and each read adopts the device's stamp.
+TEST_F(KernelTest, PtyShortReadKeepsTail) {
+  const Pid term = spawn("xterm");
+  const Pid shell = spawn("bash");
+  auto pt = k_.sys_openpt(term).value();
+  auto slave_fd = k_.sys_open(shell, pt.second, OpenFlags::kReadWrite).value();
+  clock_.advance(sim::Duration::seconds(1));
+  k_.monitor().record_interaction(term, clock_.now());
+  ASSERT_TRUE(k_.sys_write(term, pt.first, "arecord\n").is_ok());
+  EXPECT_EQ(k_.sys_read(shell, slave_fd, 3).value_or("?"), "are");
+  EXPECT_EQ(k_.processes().lookup(shell)->interaction_ts, clock_.now());
+  EXPECT_EQ(k_.sys_read(shell, slave_fd, 64).value_or("?"), "cord\n");
+  EXPECT_EQ(k_.sys_read(shell, slave_fd, 64).code(), Code::kWouldBlock);
+  EXPECT_EQ(k_.ptys().find(0)->recv_adoptions(), 2u);
 }
 
 TEST_F(KernelTest, PrivateMappingIsSnapshotAndUnarmed) {

@@ -178,7 +178,7 @@ TEST(ProcessTable, FdTableSharedDescriptionsOnFork) {
   auto desc = std::make_shared<Dummy>();
   const int fd = pt.init_task().install_fd(desc);
   auto child = pt.fork(1);
-  EXPECT_EQ(pt.lookup(child.value())->fd(fd).get(), desc.get());
+  EXPECT_EQ(pt.lookup(child.value())->fd(fd), desc.get());
 }
 
 TEST(ProcessTable, ForEachLiveSkipsDead) {
