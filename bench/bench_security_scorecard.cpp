@@ -69,8 +69,8 @@ std::vector<Attack> attack_battery() {
          auto mal = apps::Spyware::install(sys).value();
          x11::XEvent forged;
          forged.type = x11::EventType::kSelectionRequest;
-         forged.selection = "CLIPBOARD";
-         forged.property = "LOOT";
+         forged.selection = x11::AtomRegistry::kClipboard;
+         forged.property = sys.xserver().atoms().intern("LOOT");
          forged.requestor = mal->window();
          return sys.xserver()
              .send_event(mal->client(), pm->window(), forged)

@@ -143,11 +143,13 @@ double run_clipboard(bool enabled) {
   auto& x = sys.xserver();
   auto& sel = x.selections();
   // Owner established once; the benchmark measures pastes (the costly op).
-  if (!sel.set_selection_owner(src.client, "CLIPBOARD", src.window).is_ok())
+  const x11::Atom clipboard = x11::AtomRegistry::kClipboard;
+  const x11::Atom property = x.atoms().intern("P");
+  if (!sel.set_selection_owner(src.client, clipboard, src.window).is_ok())
     return -1;
   const std::string payload(kClipboardPayload, 'x');
   const auto paste_once = [&] {
-    (void)sel.convert_selection(dst.client, "CLIPBOARD", dst.window, "P");
+    (void)sel.convert_selection(dst.client, clipboard, dst.window, property);
     // Owner answers the SelectionRequest.
     x11::XClient* owner = x.client(src.client);
     while (owner->has_events()) {
@@ -162,8 +164,7 @@ double run_clipboard(bool enabled) {
       (void)x.send_event(src.client, ev.requestor, notify);
     }
     x.client(dst.client)->drain();
-    (void)sel.get_property(dst.client, dst.window, "P");
-    (void)sel.delete_property(dst.client, dst.window, "P");
+    (void)sel.get_property(dst.client, dst.window, property, /*del=*/true);
   };
   for (int i = 0; i < warmup_iters(kPastes); ++i) paste_once();
   return time_seconds([&] {

@@ -26,6 +26,9 @@ class MalloryApp : public apps::GuiApp {
 int main() {
   core::OverhaulSystem sys;
   auto& x = sys.xserver();
+  const x11::Atom clipboard = x11::AtomRegistry::kClipboard;
+  const x11::Atom loot = x.atoms().intern("LOOT");
+  const x11::Atom p = x.atoms().intern("P");
 
   auto pm = apps::PasswordManagerApp::launch(sys).value();
   auto editor = apps::EditorApp::launch(sys).value();
@@ -46,16 +49,16 @@ int main() {
 
   // Attack 1: straightforward ConvertSelection paste.
   {
-    auto s = x.selections().convert_selection(mallory.client(), "CLIPBOARD",
-                                              mallory.window(), "LOOT");
+    auto s = x.selections().convert_selection(mallory.client(), clipboard,
+                                              mallory.window(), loot);
     verdict("ConvertSelection without user input", s);
   }
   // Attack 2: forged SelectionRequest via SendEvent.
   {
     x11::XEvent forged;
     forged.type = x11::EventType::kSelectionRequest;
-    forged.selection = "CLIPBOARD";
-    forged.property = "LOOT";
+    forged.selection = clipboard;
+    forged.property = loot;
     forged.requestor = mallory.window();
     verdict("SendEvent(SelectionRequest) to the owner",
             x.send_event(mallory.client(), pm->window(), forged));
@@ -65,8 +68,8 @@ int main() {
     (void)x.raise_surface(mallory.client(), mallory.window());
     auto [mx, my] = mallory.click_point();
     (void)x.xtest_fake_button(mallory.client(), mx, my);
-    auto s = x.selections().convert_selection(mallory.client(), "CLIPBOARD",
-                                              mallory.window(), "LOOT");
+    auto s = x.selections().convert_selection(mallory.client(), clipboard,
+                                              mallory.window(), loot);
     verdict("XTEST-faked click, then ConvertSelection", s);
   }
   // Attack 4: snoop the property mid-flight during a legitimate paste.
@@ -76,25 +79,23 @@ int main() {
     sys.input().click(ex, ey);
     sys.input().press_paste_chord();
     // Run the paste up to the data handoff.
-    (void)x.selections().convert_selection(editor->client(), "CLIPBOARD",
-                                           editor->window(), "P");
+    (void)x.selections().convert_selection(editor->client(), clipboard,
+                                           editor->window(), p);
     for (const auto& ev : pm->pump_events()) {
       if (ev.type == x11::EventType::kSelectionRequest) {
         (void)x.selections().change_property(pm->client(), ev.requestor,
                                              ev.property, "hunter2");
       }
     }
-    auto sniff = x.selections().get_property(mallory.client(),
-                                             editor->window(), "P");
+    auto sniff =
+        x.selections().get_property(mallory.client(), editor->window(), p);
     verdict("GetProperty on in-flight clipboard data",
             sniff.is_ok() ? util::Status::ok() : sniff.status());
-    // The rightful target still completes its paste.
-    auto legit =
-        x.selections().get_property(editor->client(), editor->window(), "P");
+    // The rightful target still completes its paste (steps 11–13).
+    auto legit = x.selections().get_property(editor->client(),
+                                             editor->window(), p, /*del=*/true);
     std::printf("  %-52s %s\n", "(the legitimate paste target reads it)",
                 legit.is_ok() ? "OK" : legit.status().to_string().c_str());
-    (void)x.selections().delete_property(editor->client(), editor->window(),
-                                         "P");
   }
 
   std::printf("\nclipboard decisions in the audit log:\n");

@@ -26,12 +26,13 @@ std::vector<wl::WlEvent> GuiApp::pump_wl_events() {
 
 Status icccm_copy(x11::XServer& server, const GuiApp& source,
                   const std::string& selection) {
+  const x11::Atom selection_atom = server.atoms().intern(selection);
   // Step 2: SetSelection — mediated by Overhaul (copy permission).
-  auto s = server.selections().set_selection_owner(source.client(), selection,
-                                                   source.window());
+  auto s = server.selections().set_selection_owner(
+      source.client(), selection_atom, source.window());
   if (!s.is_ok()) return s;
   // Steps 3–4: confirm ownership.
-  auto owner = server.selections().selection_owner(selection);
+  auto owner = server.selections().selection_owner(selection_atom);
   if (!owner.has_value() || owner->client != source.client())
     return Status(Code::kBadAtom, "ownership confirmation failed");
   return Status::ok();
@@ -40,11 +41,13 @@ Status icccm_copy(x11::XServer& server, const GuiApp& source,
 Result<std::string> icccm_paste(x11::XServer& server, GuiApp& source,
                                 GuiApp& target, const std::string& selection,
                                 const std::string& data_from_owner) {
-  const std::string property = "OVERHAUL_PASTE";
+  auto& sel = server.selections();
+  const x11::Atom selection_atom = server.atoms().intern(selection);
+  const x11::Atom property = server.atoms().intern("OVERHAUL_PASTE");
 
   // Step 6: ConvertSelection — mediated by Overhaul (paste permission).
-  if (auto s = server.selections().convert_selection(
-          target.client(), selection, target.window(), property);
+  if (auto s = sel.convert_selection(target.client(), selection_atom,
+                                     target.window(), property);
       !s.is_ok())
     return s;
 
@@ -52,17 +55,17 @@ Result<std::string> icccm_paste(x11::XServer& server, GuiApp& source,
   bool owner_saw_request = false;
   for (const auto& ev : source.pump_events()) {
     if (ev.type == x11::EventType::kSelectionRequest &&
-        ev.selection == selection) {
+        ev.selection == selection_atom) {
       owner_saw_request = true;
       // Step 8: owner publishes the data on the requestor's window property.
-      if (auto s = server.selections().change_property(
-              source.client(), ev.requestor, ev.property, data_from_owner);
+      if (auto s = sel.change_property(source.client(), ev.requestor,
+                                       ev.property, data_from_owner);
           !s.is_ok())
         return s;
       // Step 9: owner asks the server to notify the requestor (SendEvent).
       x11::XEvent notify;
       notify.type = x11::EventType::kSelectionNotify;
-      notify.selection = selection;
+      notify.selection = selection_atom;
       notify.property = ev.property;
       if (auto s = server.send_event(source.client(), ev.requestor, notify);
           !s.is_ok())
@@ -76,24 +79,15 @@ Result<std::string> icccm_paste(x11::XServer& server, GuiApp& source,
   bool notified = false;
   for (const auto& ev : target.pump_events()) {
     if (ev.type == x11::EventType::kSelectionNotify &&
-        ev.selection == selection)
+        ev.selection == selection_atom)
       notified = true;
   }
   if (!notified)
     return Status(Code::kBadRequest, "requestor never saw SelectionNotify");
 
-  // Steps 11–12: fetch the data.
-  auto data = server.selections().get_property(target.client(),
-                                               target.window(), property);
-  if (!data.is_ok()) return data.status();
-
-  // Step 13: remove it.
-  if (auto s = server.selections().delete_property(target.client(),
-                                                   target.window(), property);
-      !s.is_ok())
-    return s;
-
-  return data;
+  // Steps 11–13: fetch the data and delete the property in one GetProperty.
+  return sel.get_property(target.client(), target.window(), property,
+                          /*del=*/true);
 }
 
 Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
@@ -101,11 +95,12 @@ Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
                                      const std::string& selection,
                                      const std::string& data_from_owner,
                                      std::size_t chunk_size) {
-  const std::string property = "OVERHAUL_PASTE_INCR";
   auto& sel = server.selections();
+  const x11::Atom selection_atom = server.atoms().intern(selection);
+  const x11::Atom property = server.atoms().intern("OVERHAUL_PASTE_INCR");
 
   // Step 6: ConvertSelection (mediated).
-  if (auto s = sel.convert_selection(target.client(), selection,
+  if (auto s = sel.convert_selection(target.client(), selection_atom,
                                      target.window(), property);
       !s.is_ok())
     return s;
@@ -114,7 +109,7 @@ Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
   bool announced = false;
   for (const auto& ev : source.pump_events()) {
     if (ev.type != x11::EventType::kSelectionRequest ||
-        ev.selection != selection)
+        ev.selection != selection_atom)
       continue;
     if (auto s = sel.begin_incr(source.client(), ev.requestor, ev.property,
                                 data_from_owner.size());
@@ -122,7 +117,7 @@ Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
       return s;
     x11::XEvent notify;
     notify.type = x11::EventType::kSelectionNotify;
-    notify.selection = selection;
+    notify.selection = selection_atom;
     notify.property = ev.property;
     if (auto s = server.send_event(source.client(), ev.requestor, notify);
         !s.is_ok())
@@ -133,14 +128,11 @@ Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
     return util::Status(util::Code::kBadRequest, "owner never saw the request");
 
   // Requestor: read the INCR marker and delete it to start the stream.
-  auto marker = sel.get_property(target.client(), target.window(), property);
+  auto marker = sel.get_property(target.client(), target.window(), property,
+                                 /*del=*/true);
   if (!marker.is_ok()) return marker.status();
   if (marker.value().rfind("INCR:", 0) != 0)
     return util::Status(util::Code::kBadRequest, "expected INCR marker");
-  if (auto s =
-          sel.delete_property(target.client(), target.window(), property);
-      !s.is_ok())
-    return s;
 
   // Stream: owner writes a chunk; requestor consumes and deletes; an empty
   // chunk terminates.
@@ -155,13 +147,10 @@ Result<std::string> icccm_paste_incr(x11::XServer& server, GuiApp& source,
         !s.is_ok())
       return s;
     offset += n;
-    auto chunk = sel.get_property(target.client(), target.window(), property);
+    auto chunk = sel.get_property(target.client(), target.window(), property,
+                                  /*del=*/true);
     if (!chunk.is_ok()) return chunk.status();
     assembled += chunk.value();
-    if (auto s =
-            sel.delete_property(target.client(), target.window(), property);
-        !s.is_ok())
-      return s;
     if (n == 0) break;  // the empty terminator has been consumed
   }
   return assembled;
@@ -173,17 +162,18 @@ Result<std::string> icccm_paste_negotiated(
     const std::string& selection, const std::string& data_from_owner,
     const std::vector<std::string>& owner_formats) {
   auto& sel = server.selections();
-  const std::string targets_prop = "OVERHAUL_TARGETS";
+  const x11::Atom targets_prop = server.atoms().intern("OVERHAUL_TARGETS");
 
   // Phase 1: TARGETS (metadata; exempt from input correlation).
-  if (auto s = sel.convert_selection(target.client(), selection,
+  if (auto s = sel.convert_selection(target.client(),
+                                     server.atoms().intern(selection),
                                      target.window(), targets_prop,
-                                     "TARGETS");
+                                     x11::AtomRegistry::kTargets);
       !s.is_ok())
     return s;
   for (const auto& ev : source.pump_events()) {
     if (ev.type != x11::EventType::kSelectionRequest ||
-        ev.target != "TARGETS")
+        ev.target != x11::AtomRegistry::kTargets)
       continue;
     std::string list;
     for (const auto& f : owner_formats) {
@@ -196,9 +186,8 @@ Result<std::string> icccm_paste_negotiated(
       return s;
   }
   auto offered = sel.get_property(target.client(), target.window(),
-                                  targets_prop);
+                                  targets_prop, /*del=*/true);
   if (!offered.is_ok()) return offered.status();
-  (void)sel.delete_property(target.client(), target.window(), targets_prop);
 
   // Pick a format: prefer UTF8_STRING, fall back to STRING.
   std::string chosen;

@@ -1,6 +1,6 @@
 #include "apps/terminal.h"
 
-#include <sstream>
+#include <string_view>
 
 namespace overhaul::apps {
 
@@ -48,12 +48,15 @@ Result<Pid> TerminalSession::shell_read_and_spawn() {
   auto line = pty_->read(*shell, kern::PtyPair::End::kSlave);
   if (!line.is_ok()) return line.status();
 
-  // First whitespace-delimited token is the program name.
-  std::istringstream iss(line.value());
-  std::string program;
-  iss >> program;
-  if (program.empty())
+  // First whitespace-delimited token is the program name (the blanks are
+  // those of isspace in the C locale).
+  constexpr std::string_view kBlanks = " \t\n\v\f\r";
+  const std::string_view text = line.value();
+  const std::size_t begin = text.find_first_not_of(kBlanks);
+  if (begin == std::string_view::npos)
     return Status(Code::kInvalidArgument, "empty command line");
+  const std::string program(
+      text.substr(begin, text.find_first_of(kBlanks, begin) - begin));
 
   return kernel().sys_spawn(shell_pid_, "/usr/bin/" + program, program);
 }

@@ -1,5 +1,5 @@
 // MessageFifo: the message queue behind each direction of a UNIX socket
-// pair and a pty.
+// pair, a pty and a cross-shard socket pair.
 //
 // Slots are kept across messages: the queue resets to its first slot when it
 // drains and compacts when the consumed prefix outweighs the queued

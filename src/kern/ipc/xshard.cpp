@@ -8,7 +8,7 @@ void XShardSocketPair::send(int side, const TaskStruct& sender,
   // Stamp with the *sending* shard's policy and epoch: freshness enters the
   // channel in the fleet domain before the payload becomes visible.
   dir_[side].stamp_on_send(*ends_[side].policy, sender, ends_[side].epoch);
-  inbox_[peer].push_back(std::move(payload));
+  inbox_[peer].push(std::move(payload));
 }
 
 OVERHAUL_LANE_SAFE
@@ -30,7 +30,7 @@ OVERHAUL_COORDINATOR_ONLY
 void XShardSocketPair::deliver_deferred(int side, sim::Timestamp fleet_stamp,
                                         std::string payload) {
   dir_[side].merge_fleet(fleet_stamp);
-  inbox_[1 - side].push_back(std::move(payload));
+  inbox_[1 - side].push(std::move(payload));
 }
 
 std::optional<std::string> XShardSocketPair::receive(int side,
@@ -41,9 +41,7 @@ std::optional<std::string> XShardSocketPair::receive(int side,
   // sender), translated into the receiving shard's clock domain.
   dir_[1 - side].propagate_on_recv(*ends_[side].policy, receiver,
                                    ends_[side].epoch);
-  std::string out = std::move(inbox.front());
-  inbox.pop_front();
-  return out;
+  return inbox.take(std::string::npos);
 }
 
 }  // namespace overhaul::kern

@@ -22,11 +22,11 @@
 // conservative direction (no freshness adopted, so no spurious grant).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "kern/ipc/ipc_object.h"
+#include "kern/ipc/message_fifo.h"
 #include "kern/task.h"
 #include "sim/clock.h"
 #include "util/annotations.h"
@@ -160,7 +160,7 @@ class XShardSocketPair {
   // send/receive interposition points only.
   OVERHAUL_SHARED(send|reset_stamp|deliver_deferred) XShardStamp dir_[2];
   OVERHAUL_SHARED(send|receive|deliver_deferred)
-  std::deque<std::string> inbox_[2];
+  MessageFifo inbox_[2];
 };
 
 }  // namespace overhaul::kern

@@ -1,9 +1,9 @@
-// X11 client protocol vocabulary: window ids, events, event masks and the
-// provenance tag, and XClient — a display::QueuedClient of XEvents.
+// X11 client protocol vocabulary: window ids, atoms, events, event masks and
+// the provenance tag, and XClient — a display::QueuedClient of XEvents.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "display/client.h"
 #include "display/surface.h"
@@ -16,6 +16,11 @@ using ClientId = display::ClientId;
 inline constexpr WindowId kNoWindow = display::kNoSurface;
 inline constexpr WindowId kRootWindow = 1;
 inline constexpr ClientId kServerClient = 0;  // the server itself
+
+// X names selections, properties and targets by 32-bit atoms, interned
+// through the server's AtomRegistry (x11/wire.h); None is atom 0.
+using Atom = std::uint32_t;
+inline constexpr Atom kAtomNone = 0;
 
 enum class EventType : std::uint8_t {
   kKeyPress,
@@ -60,12 +65,14 @@ struct XEvent {
   int x = 0, y = 0;
 
   // Selection payload.
-  std::string selection;  // e.g. "CLIPBOARD", "PRIMARY"
-  std::string property;   // property atom carrying the data
-  std::string target;     // requested conversion target, e.g. "STRING",
-                          // "UTF8_STRING", or "TARGETS" (ICCCM negotiation)
+  Atom selection = kAtomNone;  // e.g. CLIPBOARD, PRIMARY
+  Atom property = kAtomNone;   // the property carrying the data
+  Atom target = kAtomNone;     // requested conversion target, e.g. STRING,
+                               // UTF8_STRING, or TARGETS (ICCCM negotiation)
   WindowId requestor = kNoWindow;
 };
+// Events are plain records: queueing, pumping and the wire copy them whole.
+static_assert(std::is_trivially_copyable_v<XEvent> && sizeof(XEvent) <= 48);
 
 // A connected client: kernel-verified pid and its XEvent queue.
 using XClient = display::QueuedClient<XEvent>;

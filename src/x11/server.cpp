@@ -1,7 +1,5 @@
 #include "x11/server.h"
 
-#include <utility>
-
 namespace overhaul::x11 {
 
 using util::Code;
@@ -77,7 +75,7 @@ void XServer::emit_structure_notify(WindowId window_id, EventType type) {
       ev.type = type;
       ev.provenance = Provenance::kHardware;  // server-originated
       ev.window = window_id;
-      c->enqueue(std::move(ev));
+      c->enqueue(ev);
     }
   }
 }
@@ -103,7 +101,7 @@ bool XServer::deliver_input(XEvent event, display::Surface& win) {
   }
 
   event.window = win.id();
-  owner->enqueue(std::move(event));
+  owner->enqueue(event);
   return counted;
 }
 
@@ -163,7 +161,7 @@ void XServer::hardware_button_press(int x, int y, int button) {
   ev.button = button;
   ev.x = x;
   ev.y = y;
-  if (!deliver_input(std::move(ev), *win)) return;
+  if (!deliver_input(ev, *win)) return;
   // ACG comparison mode: a counted click inside a registered gadget also
   // produces an op-specific grant notification.
   if (const auto op = acg_.gadget_hit(*win, x, y); op.has_value())
@@ -181,7 +179,7 @@ void XServer::hardware_key_press(int keycode) {
   ev.type = EventType::kKeyPress;
   ev.provenance = Provenance::kHardware;
   ev.keycode = keycode;
-  deliver_input(std::move(ev), *win);
+  deliver_input(ev, *win);
 }
 
 Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
@@ -198,7 +196,7 @@ Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
   // Overhaul's clipboard-protocol policing (§IV-A): block SendEvents "that
   // can break the copy & paste protocol".
   if (overhaul_enabled()) {
-    if (!selections_.send_event_allowed(sender, event)) {
+    if (!selections_.admit_send_event(sender, target, event)) {
       ++stats_.blocked_send_events;
       c_send_event_drops_->add();
       if (obs().tracer.enabled()) {
@@ -209,18 +207,15 @@ Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
       }
       return Status(Code::kBadAccess, "send_event: out-of-protocol event");
     }
-    if (event.type == EventType::kSelectionNotify)
-      selections_.on_selection_notify_sent(sender, event);
   }
 
   // The event transits the wire: the synthetic flag is carried by the wire
   // format itself (top bit of the event-code byte), so the receiver's view
   // cannot be laundered by the sender.
-  const wire::EventRecord record = wire::encode_event(event, atoms_);
-  auto decoded = wire::decode_event(record, atoms_);
+  auto decoded = wire::decode_event(wire::encode_event(event), atoms_);
   if (!decoded.is_ok()) return decoded.status();
 
-  deliver_input(std::move(decoded).value(), *win);
+  deliver_input(decoded.value(), *win);
   return Status::ok();
 }
 
@@ -242,7 +237,7 @@ Status XServer::xtest_fake_button(ClientId sender, int x, int y) {
   ev.button = 1;
   ev.x = x;
   ev.y = y;
-  deliver_input(std::move(ev), *win);
+  deliver_input(ev, *win);
   return Status::ok();
 }
 
@@ -255,7 +250,7 @@ Status XServer::xtest_fake_key(ClientId sender, int keycode) {
   ev.type = EventType::kKeyPress;
   ev.provenance = Provenance::kXTest;
   ev.keycode = keycode;
-  deliver_input(std::move(ev), *win);
+  deliver_input(ev, *win);
   return Status::ok();
 }
 

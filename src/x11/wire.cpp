@@ -1,40 +1,58 @@
 #include "x11/wire.h"
 
-#include <cstring>
+#include <iterator>
 
 namespace overhaul::x11 {
 
 using util::Code;
 using util::Result;
 
-AtomRegistry::AtomRegistry() {
-  by_name_["PRIMARY"] = kPrimary;
-  by_name_["SECONDARY"] = kSecondary;
-  by_name_["CLIPBOARD"] = kClipboard;
-  by_name_["STRING"] = kString;
-  by_name_["INCR"] = kIncr;
-}
+namespace {
 
-Atom AtomRegistry::intern(const std::string& name) {
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;
+struct Predefined {
+  Atom atom;
+  std::string_view name;
+};
+constexpr Predefined kPredefined[] = {
+    {AtomRegistry::kPrimary, "PRIMARY"},
+    {AtomRegistry::kSecondary, "SECONDARY"},
+    {AtomRegistry::kClipboard, "CLIPBOARD"},
+    {AtomRegistry::kString, "STRING"},
+    {AtomRegistry::kIncr, "INCR"},
+    {AtomRegistry::kTargets, "TARGETS"},
+};
+
+}  // namespace
+
+Atom AtomRegistry::intern(std::string_view name) {
+  if (name.empty()) return kAtomNone;
+  for (const auto& p : kPredefined)
+    if (p.name == name) return p.atom;
+  if (const auto it = by_name_.find(name); it != by_name_.end())
+    return it->second;
   const Atom atom = kFirstDynamic + static_cast<Atom>(names_.size());
-  names_.push_back(name);
-  by_name_.emplace(name, atom);
+  names_.push_back(std::make_unique<const std::string>(name));
+  by_name_.emplace(*names_.back(), atom);
   return atom;
 }
 
-Result<std::string> AtomRegistry::name(Atom atom) const {
-  if (atom == kAtomNone) return std::string();
+std::string_view AtomRegistry::view(Atom atom) const noexcept {
   if (atom >= kFirstDynamic) {
     const std::size_t idx = atom - kFirstDynamic;
-    if (idx < names_.size()) return names_[idx];
-    return util::Status(Code::kBadAtom, "unknown atom");
+    return idx < names_.size() ? *names_[idx] : std::string_view();
   }
-  for (const auto& [n, a] : by_name_) {
-    if (a == atom) return n;
-  }
-  return util::Status(Code::kBadAtom, "unknown atom");
+  for (const auto& p : kPredefined)
+    if (p.atom == atom) return p.name;
+  return {};
+}
+
+Result<std::string> AtomRegistry::name(Atom atom) const {
+  if (!known(atom)) return util::Status(Code::kBadAtom, "unknown atom");
+  return std::string(view(atom));
+}
+
+std::size_t AtomRegistry::size() const noexcept {
+  return std::size(kPredefined) + names_.size();
 }
 
 namespace wire {
@@ -85,7 +103,7 @@ constexpr std::uint8_t kMaxEventCode =
 //   24-25 y (i16)
 //   26-29 target atom (u32)
 //   30-31 reserved (zero)
-EventRecord encode_event(const XEvent& event, AtomRegistry& atoms) {
+EventRecord encode_event(const XEvent& event) {
   EventRecord rec{};
   rec[0] = static_cast<std::uint8_t>(event.type);
   if (event.synthetic_flag) rec[0] |= kSyntheticBit;
@@ -93,15 +111,12 @@ EventRecord encode_event(const XEvent& event, AtomRegistry& atoms) {
   put_i16(rec, 2, event.keycode);
   put_u32(rec, 4, event.window);
   put_u32(rec, 8, event.requestor);
-  put_u32(rec, 12,
-          event.selection.empty() ? kAtomNone : atoms.intern(event.selection));
-  put_u32(rec, 16,
-          event.property.empty() ? kAtomNone : atoms.intern(event.property));
+  put_u32(rec, 12, event.selection);
+  put_u32(rec, 16, event.property);
   put_i16(rec, 20, event.button);
   put_i16(rec, 22, event.x);
   put_i16(rec, 24, event.y);
-  put_u32(rec, 26,
-          event.target.empty() ? kAtomNone : atoms.intern(event.target));
+  put_u32(rec, 26, event.target);
   return rec;
 }
 
@@ -119,22 +134,15 @@ Result<XEvent> decode_event(const EventRecord& record,
   ev.keycode = get_i16(record, 2);
   ev.window = get_u32(record, 4);
   ev.requestor = get_u32(record, 8);
-
-  auto selection = atoms.name(get_u32(record, 12));
-  if (!selection.is_ok()) return selection.status();
-  ev.selection = std::move(selection).value();
-
-  auto property = atoms.name(get_u32(record, 16));
-  if (!property.is_ok()) return property.status();
-  ev.property = std::move(property).value();
-
+  ev.selection = get_u32(record, 12);
+  ev.property = get_u32(record, 16);
   ev.button = get_i16(record, 20);
   ev.x = get_i16(record, 22);
   ev.y = get_i16(record, 24);
-
-  auto target = atoms.name(get_u32(record, 26));
-  if (!target.is_ok()) return target.status();
-  ev.target = std::move(target).value();
+  ev.target = get_u32(record, 26);
+  if (!atoms.known(ev.selection) || !atoms.known(ev.property) ||
+      !atoms.known(ev.target))
+    return util::Status(Code::kBadAtom, "unknown atom");
   return ev;
 }
 

@@ -252,9 +252,10 @@ TEST(AuditDump, DeniedCopyWithLongSelectionNameRendersInFull) {
   core::OverhaulSystem sys;
   const auto app = sys.launch_gui_app("/usr/bin/longsel", "longsel").value();
   const std::string selection = "SELECTION_" + std::string(290, 'x');
-  ASSERT_EQ(sys.xserver()
-                .selections()
-                .set_selection_owner(app.client, selection, app.window)
+  auto& x = sys.xserver();
+  ASSERT_EQ(x.selections()
+                .set_selection_owner(app.client, x.atoms().intern(selection),
+                                     app.window)
                 .code(),
             util::Code::kBadAccess);
 

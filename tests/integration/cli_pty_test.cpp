@@ -26,6 +26,20 @@ TEST_F(CliPtyTest, TypedCommandToolOpensMic) {
   EXPECT_TRUE(term->tool_record_microphone(tool.value()).is_ok());
 }
 
+TEST_F(CliPtyTest, ShellSpawnsFirstTokenAfterLeadingBlanks) {
+  auto term = apps::TerminalSession::launch(sys_).value();
+  ASSERT_TRUE(term->type_command_line("  \t arecord\t-f cd out.wav").is_ok());
+  auto tool = term->shell_read_and_spawn();
+  ASSERT_TRUE(tool.is_ok());
+  const auto* task = sys_.kernel().processes().lookup(tool.value());
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->comm, "arecord");
+  EXPECT_EQ(task->exe_path, "/usr/bin/arecord");
+  // A line of blanks names no program.
+  ASSERT_TRUE(term->type_command_line(" \t ").is_ok());
+  EXPECT_EQ(term->shell_read_and_spawn().code(), Code::kInvalidArgument);
+}
+
 TEST_F(CliPtyTest, ShellIsNotAnXClientButStillAuthorized) {
   auto term = apps::TerminalSession::launch(sys_).value();
   auto [cx, cy] = term->click_point();

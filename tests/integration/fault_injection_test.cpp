@@ -83,12 +83,15 @@ TEST_F(FaultInjectionTest, AppCrashMidTransferCleansUp) {
   const auto& rs = x.surface(src.window)->rect();
   sys_.input().click(rs.x + 5, rs.y + 5);
   ASSERT_TRUE(
-      x.selections().set_selection_owner(src.client, "CLIPBOARD", src.window)
+      x.selections()
+          .set_selection_owner(src.client, x11::AtomRegistry::kClipboard,
+                               src.window)
           .is_ok());
   const auto& rd = x.surface(dst.window)->rect();
   sys_.input().click(rd.x + 5, rd.y + 5);
   ASSERT_TRUE(x.selections()
-                  .convert_selection(dst.client, "CLIPBOARD", dst.window, "P")
+                  .convert_selection(dst.client, x11::AtomRegistry::kClipboard,
+                                     dst.window, x.atoms().intern("P"))
                   .is_ok());
   ASSERT_FALSE(x.selections().transfers().empty());
 
@@ -103,7 +106,8 @@ TEST_F(FaultInjectionTest, AppCrashMidTransferCleansUp) {
   const auto& r2 = x.surface(dst2.window)->rect();
   sys_.input().click(r2.x + 5, r2.y + 5);
   EXPECT_TRUE(x.selections()
-                  .convert_selection(dst2.client, "CLIPBOARD", dst2.window, "P")
+                  .convert_selection(dst2.client, x11::AtomRegistry::kClipboard,
+                                     dst2.window, x.atoms().intern("P"))
                   .is_ok());
 }
 

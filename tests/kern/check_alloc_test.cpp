@@ -16,8 +16,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "apps/runtime.h"
 #include "audit/sink.h"
 #include "core/system.h"
+#include "kern/ipc/xshard.h"
 #include "kern/kernel.h"
 #include "kern/permission_monitor.h"
 #include "kern/process_table.h"
@@ -26,6 +28,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
@@ -33,12 +36,14 @@ std::atomic<std::uint64_t> g_allocations{0};
 // emit. Deallocation is free-passthrough; only allocation counts.
 void* operator new(std::size_t size) {
   ++g_allocations;
+  g_allocated_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   ++g_allocations;
+  g_allocated_bytes += size;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    size ? size : 1))
     return p;
@@ -72,6 +77,14 @@ std::uint64_t allocations_during(Fn&& fn) {
   const std::uint64_t before = g_allocations.load();
   fn();
   return g_allocations.load() - before;
+}
+
+// Bytes requested by `fn` alone.
+template <typename Fn>
+std::uint64_t bytes_during(Fn&& fn) {
+  const std::uint64_t before = g_allocated_bytes.load();
+  fn();
+  return g_allocated_bytes.load() - before;
 }
 
 class CheckAllocTest : public ::testing::Test {
@@ -288,6 +301,83 @@ TEST_F(MessagePathAllocTest, PosixMq) {
     ASSERT_TRUE(got.is_ok());
     ASSERT_EQ(got.value(), payload_);
   });
+}
+
+// A cross-shard socket pair queues like a local one: on a warm pair a
+// round trip of a short (in-place) payload allocates nothing.
+TEST_F(MessagePathAllocTest, CrossShardPairShortMessageIsAllocationFree) {
+  XShardSocketPair pair({&k_.ipc_policy(), sim::Duration::seconds(1)},
+                        {&k_.ipc_policy(), sim::Duration::seconds(2)});
+  TaskStruct& sender = *k_.processes().lookup_live(a_);
+  TaskStruct& receiver = *k_.processes().lookup_live(b_);
+  const auto round_trip = [&] {
+    pair.send(0, sender, "beat");
+    pair.send(0, sender, "beat");
+    for (int i = 0; i < 2; ++i) {
+      auto got = pair.receive(1, receiver);
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(*got, "beat");
+    }
+  };
+  for (int i = 0; i < 4; ++i) round_trip();  // warm the queue
+  for (int i = 0; i < 64; ++i)
+    EXPECT_EQ(allocations_during(round_trip), 0u) << "round trip " << i;
+}
+
+// Every fleet seat boot builds these: an X11 seat's atom registry and each
+// cross-shard link's queues. Neither allocates before it is used.
+TEST(SetupAllocTest, AtomRegistryAndXShardPairBuildWithoutAllocating) {
+  const IpcPolicy policy;
+  EXPECT_EQ(allocations_during([] {
+              x11::AtomRegistry atoms;
+              ASSERT_EQ(atoms.view(x11::AtomRegistry::kClipboard), "CLIPBOARD");
+            }),
+            0u);
+  EXPECT_EQ(allocations_during([&] {
+              XShardSocketPair pair({&policy, sim::Duration::seconds(1)},
+                                    {&policy, sim::Duration::seconds(2)});
+              ASSERT_EQ(pair.pending(0), 0u);
+            }),
+            0u);
+}
+
+// The X11 clipboard path, driven as a toolkit drives it: ChangeProperty
+// copies the owner's payload into the requestor's property once, and
+// GetProperty(delete) hands that copy over instead of copying it again. So
+// a warm 4 KiB paste allocates less than two payloads' worth of bytes —
+// the click that authorizes it and both toolkits' event pumps included.
+TEST(PastePathAllocTest, WarmX11PasteCopiesThePayloadOnce) {
+  core::OverhaulConfig cfg;
+  cfg.display_backend = core::DisplayBackendKind::kX11;
+  cfg.trace = false;
+  core::OverhaulSystem sys(cfg);
+  sys.audit().set_capacity(64);
+  apps::GuiApp owner(sys,
+                     sys.launch_gui_app("/usr/bin/owner", "owner",
+                                        display::Rect{0, 0, 200, 200})
+                         .value(),
+                     "owner");
+  apps::GuiApp target(sys,
+                      sys.launch_gui_app("/usr/bin/target", "target",
+                                         display::Rect{400, 0, 200, 200})
+                          .value(),
+                      "target");
+  const std::string payload(4096, 'p');
+  const auto [ox, oy] = owner.click_point();
+  sys.input().click(ox, oy);
+  ASSERT_TRUE(apps::backend_copy(sys, owner, "CLIPBOARD").is_ok());
+
+  const auto [tx, ty] = target.click_point();
+  const auto paste = [&] {
+    sys.input().click(tx, ty);
+    auto pasted =
+        apps::backend_paste(sys, owner, target, "CLIPBOARD", payload);
+    ASSERT_TRUE(pasted.is_ok()) << pasted.status().to_string();
+    ASSERT_EQ(pasted.value(), payload);
+  };
+  for (int i = 0; i < 8; ++i) paste();  // warm queues, rings and interns
+  for (int i = 0; i < 16; ++i)
+    EXPECT_LT(bytes_during(paste), 2 * payload.size()) << "paste " << i;
 }
 
 // Sanity: the counter actually observes heap traffic (guards against the

@@ -65,17 +65,19 @@ TEST_F(ObsIntegrationTest, Fig2ClipboardFlowCountersMatchAudit) {
 
   const auto& rs = sys_.xserver().surface(src.window)->rect();
   sys_.input().click(rs.x + 2, rs.y + 2);
-  ASSERT_TRUE(sel.set_selection_owner(src.client, "CLIPBOARD", src.window)
+  const x11::Atom kClipboard = x11::AtomRegistry::kClipboard;
+  const x11::Atom kP = sys_.xserver().atoms().intern("P");
+  ASSERT_TRUE(sel.set_selection_owner(src.client, kClipboard, src.window)
                   .is_ok());
 
   const auto& rd = sys_.xserver().surface(dst.window)->rect();
   sys_.input().click(rd.x + 2, rd.y + 2);
-  ASSERT_TRUE(sel.convert_selection(dst.client, "CLIPBOARD", dst.window, "P")
+  ASSERT_TRUE(sel.convert_selection(dst.client, kClipboard, dst.window, kP)
                   .is_ok());
 
   // A paste attempt long after the click is denied — and counted.
   sys_.advance(sys_.config().delta + sim::Duration::seconds(1));
-  EXPECT_FALSE(sel.convert_selection(dst.client, "CLIPBOARD", dst.window, "P")
+  EXPECT_FALSE(sel.convert_selection(dst.client, kClipboard, dst.window, kP)
                    .is_ok());
 
   const auto& m = sys_.obs().metrics;

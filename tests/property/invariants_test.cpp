@@ -264,6 +264,8 @@ TEST_P(InvariantSweep, XProtocolFuzzPreservesInvariants) {
   core::OverhaulSystem sys;
   Rng rng(GetParam() ^ 0xF0F0F0);
   auto& x = sys.xserver();
+  const x11::Atom kClipboard = x11::AtomRegistry::kClipboard;
+  const x11::Atom kP = x.atoms().intern("P");
 
   struct Actor {
     core::OverhaulSystem::AppHandle handle;
@@ -271,8 +273,8 @@ TEST_P(InvariantSweep, XProtocolFuzzPreservesInvariants) {
   };
   std::vector<Actor> actors;
   for (int i = 0; i < 3; ++i) {
-    Actor a{sys.launch_gui_app("/usr/bin/f" + std::to_string(i),
-                               "f" + std::to_string(i),
+    const std::string n = std::to_string(i);
+    Actor a{sys.launch_gui_app("/usr/bin/f" + n, "f" + n,
                                display::Rect{i * 100, i * 80, 120, 100})
                 .value(),
             {}};
@@ -315,30 +317,30 @@ TEST_P(InvariantSweep, XProtocolFuzzPreservesInvariants) {
       case 5: {
         x11::XEvent ev;
         ev.type = static_cast<x11::EventType>(rng.next_below(5));
-        ev.selection = "CLIPBOARD";
-        ev.property = "P";
+        ev.selection = kClipboard;
+        ev.property = kP;
         (void)x.send_event(
             cid, actors[rng.next_below(actors.size())].handle.window, ev);
         break;
       }
       case 6:
         (void)x.selections().set_selection_owner(
-            cid, rng.chance(0.5) ? "CLIPBOARD" : "PRIMARY",
+            cid, rng.chance(0.5) ? kClipboard : x11::AtomRegistry::kPrimary,
             actor.windows[rng.next_below(actor.windows.size())]);
         break;
       case 7:
         (void)x.selections().convert_selection(
-            cid, "CLIPBOARD",
-            actor.windows[rng.next_below(actor.windows.size())], "P");
+            cid, kClipboard,
+            actor.windows[rng.next_below(actor.windows.size())], kP);
         break;
       case 8:
         (void)x.selections().change_property(
-            cid, actors[rng.next_below(actors.size())].handle.window, "P",
+            cid, actors[rng.next_below(actors.size())].handle.window, kP,
             "junk");
         break;
       case 9:
         (void)x.selections().get_property(
-            cid, actors[rng.next_below(actors.size())].handle.window, "P");
+            cid, actors[rng.next_below(actors.size())].handle.window, kP);
         break;
       case 10:
         (void)x.screen().get_image(cid, x11::kRootWindow);

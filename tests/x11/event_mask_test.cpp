@@ -91,7 +91,9 @@ TEST_F(EventMaskTest, PropertyChangeMaskDeliversOwnWindowWrites) {
       x_.select_input(a.client, a.window, kPropertyChangeMask).is_ok());
   x_.client(a.client)->drain();
   ASSERT_TRUE(
-      x_.selections().change_property(a.client, a.window, "MINE", "v").is_ok());
+      x_.selections()
+          .change_property(a.client, a.window, x_.atoms().intern("MINE"), "v")
+          .is_ok());
   const auto types = types_of(x_.client(a.client));
   ASSERT_EQ(types.size(), 1u);
   EXPECT_EQ(types[0], EventType::kPropertyNotify);

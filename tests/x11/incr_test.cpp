@@ -27,6 +27,8 @@ class IncrTest : public ::testing::Test {
     auto [cx, cy] = app.click_point();
     sys_.input().click(cx, cy);
   }
+
+  const Atom kP = sys_.xserver().atoms().intern("P");
 };
 
 TEST_F(IncrTest, LargePayloadRoundTrips) {
@@ -53,11 +55,11 @@ TEST_F(IncrTest, OneShotWriteAboveThresholdRejected) {
 
 TEST_F(IncrTest, IncrWithoutTransferRejected) {
   auto s = sys_.xserver().selections().begin_incr(src_->client(),
-                                                  dst_->window(), "P", 100);
+                                                  dst_->window(), kP, 100);
   EXPECT_EQ(s.code(), Code::kBadAccess);
   EXPECT_EQ(sys_.xserver()
                 .selections()
-                .send_incr_chunk(src_->client(), dst_->window(), "P", "x")
+                .send_incr_chunk(src_->client(), dst_->window(), kP, "x")
                 .code(),
             Code::kBadAccess);
 }
@@ -67,8 +69,8 @@ TEST_F(IncrTest, ChunkRequiresPreviousConsumed) {
   ASSERT_TRUE(apps::icccm_copy(sys_.xserver(), *src_, "CLIPBOARD").is_ok());
   user_clicks(*dst_);
   auto& sel = sys_.xserver().selections();
-  ASSERT_TRUE(sel.convert_selection(dst_->client(), "CLIPBOARD",
-                                    dst_->window(), "P")
+  ASSERT_TRUE(sel.convert_selection(dst_->client(), AtomRegistry::kClipboard,
+                                    dst_->window(), kP)
                   .is_ok());
   for (const auto& ev : src_->pump_events()) {
     if (ev.type == EventType::kSelectionRequest) {
@@ -79,11 +81,11 @@ TEST_F(IncrTest, ChunkRequiresPreviousConsumed) {
   }
   // The INCR marker is still in the property: a chunk cannot be sent yet.
   EXPECT_EQ(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "abc").code(),
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "abc").code(),
       Code::kWouldBlock);
-  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), "P").is_ok());
+  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), kP).is_ok());
   EXPECT_TRUE(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "abc").is_ok());
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "abc").is_ok());
 }
 
 TEST_F(IncrTest, SnoopBlockedOnEveryChunk) {
@@ -94,8 +96,8 @@ TEST_F(IncrTest, SnoopBlockedOnEveryChunk) {
   ASSERT_TRUE(apps::icccm_copy(sys_.xserver(), *src_, "CLIPBOARD").is_ok());
   user_clicks(*dst_);
   auto& sel = sys_.xserver().selections();
-  ASSERT_TRUE(sel.convert_selection(dst_->client(), "CLIPBOARD",
-                                    dst_->window(), "P")
+  ASSERT_TRUE(sel.convert_selection(dst_->client(), AtomRegistry::kClipboard,
+                                    dst_->window(), kP)
                   .is_ok());
   for (const auto& ev : src_->pump_events()) {
     if (ev.type == EventType::kSelectionRequest) {
@@ -104,23 +106,61 @@ TEST_F(IncrTest, SnoopBlockedOnEveryChunk) {
               .is_ok());
     }
   }
-  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), "P").is_ok());
+  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), kP).is_ok());
 
   // First chunk lands; Mallory tries to read it before the requestor does.
   ASSERT_TRUE(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "secret").is_ok());
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "secret").is_ok());
   auto sniff =
-      sel.get_property(mallory.value().client, dst_->window(), "P");
+      sel.get_property(mallory.value().client, dst_->window(), kP);
   EXPECT_EQ(sniff.code(), Code::kBadAccess);
   // The requestor reads it fine.
-  EXPECT_TRUE(sel.get_property(dst_->client(), dst_->window(), "P").is_ok());
-  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), "P").is_ok());
+  EXPECT_TRUE(sel.get_property(dst_->client(), dst_->window(), kP).is_ok());
+  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), kP).is_ok());
 
   // Terminator: empty chunk; after its consumption the transfer ends and
   // the property protections lapse with it.
   ASSERT_TRUE(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "").is_ok());
-  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), "P").is_ok());
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "").is_ok());
+  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), kP).is_ok());
+  EXPECT_TRUE(sel.transfers().empty());
+}
+
+// GetProperty with the delete flag acknowledges an INCR chunk as
+// DeleteProperty does: the transfer outlives every chunk but the empty
+// terminator.
+TEST_F(IncrTest, GetPropertyWithDeleteAcknowledgesChunks) {
+  user_clicks(*src_);
+  ASSERT_TRUE(apps::icccm_copy(sys_.xserver(), *src_, "CLIPBOARD").is_ok());
+  user_clicks(*dst_);
+  auto& sel = sys_.xserver().selections();
+  ASSERT_TRUE(sel.convert_selection(dst_->client(), AtomRegistry::kClipboard,
+                                    dst_->window(), kP)
+                  .is_ok());
+  for (const auto& ev : src_->pump_events()) {
+    if (ev.type == EventType::kSelectionRequest) {
+      ASSERT_TRUE(
+          sel.begin_incr(src_->client(), ev.requestor, ev.property, 3)
+              .is_ok());
+    }
+  }
+  auto marker = sel.get_property(dst_->client(), dst_->window(), kP, true);
+  ASSERT_TRUE(marker.is_ok());
+  EXPECT_EQ(marker.value(), "INCR:3");
+  ASSERT_EQ(sel.transfers().size(), 1u);
+
+  ASSERT_TRUE(
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "abc").is_ok());
+  auto chunk = sel.get_property(dst_->client(), dst_->window(), kP, true);
+  ASSERT_TRUE(chunk.is_ok());
+  EXPECT_EQ(chunk.value(), "abc");
+  ASSERT_EQ(sel.transfers().size(), 1u);
+
+  ASSERT_TRUE(
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "").is_ok());
+  auto last = sel.get_property(dst_->client(), dst_->window(), kP, true);
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_TRUE(last.value().empty());
   EXPECT_TRUE(sel.transfers().empty());
 }
 
@@ -129,8 +169,8 @@ TEST_F(IncrTest, ChunkAfterTerminatorRejected) {
   ASSERT_TRUE(apps::icccm_copy(sys_.xserver(), *src_, "CLIPBOARD").is_ok());
   user_clicks(*dst_);
   auto& sel = sys_.xserver().selections();
-  ASSERT_TRUE(sel.convert_selection(dst_->client(), "CLIPBOARD",
-                                    dst_->window(), "P")
+  ASSERT_TRUE(sel.convert_selection(dst_->client(), AtomRegistry::kClipboard,
+                                    dst_->window(), kP)
                   .is_ok());
   for (const auto& ev : src_->pump_events()) {
     if (ev.type == EventType::kSelectionRequest) {
@@ -139,11 +179,11 @@ TEST_F(IncrTest, ChunkAfterTerminatorRejected) {
               .is_ok());
     }
   }
-  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), "P").is_ok());
+  ASSERT_TRUE(sel.delete_property(dst_->client(), dst_->window(), kP).is_ok());
   ASSERT_TRUE(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "").is_ok());
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "").is_ok());
   EXPECT_EQ(
-      sel.send_incr_chunk(src_->client(), dst_->window(), "P", "late").code(),
+      sel.send_incr_chunk(src_->client(), dst_->window(), kP, "late").code(),
       Code::kBadRequest);
 }
 

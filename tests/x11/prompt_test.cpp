@@ -117,7 +117,7 @@ TEST_F(PromptTest, ClipboardNeverPrompts) {
   answer_with_hardware(true);
   auto app = sys_.launch_gui_app("/usr/bin/editor", "editor").value();
   auto s = sys_.xserver().selections().set_selection_owner(
-      app.client, "CLIPBOARD", app.window);
+      app.client, AtomRegistry::kClipboard, app.window);
   EXPECT_EQ(s.code(), Code::kBadAccess);  // transparent denial, no prompt
   EXPECT_EQ(sys_.xserver().prompts().stats().prompts_shown, 0u);
 }
