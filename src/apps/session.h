@@ -31,9 +31,6 @@ class DesktopSession {
   void add_autostart(AutostartEntry entry) {
     autostart_.push_back(std::move(entry));
   }
-  [[nodiscard]] std::size_t autostart_count() const noexcept {
-    return autostart_.size();
-  }
 
   // Launch every autostart entry. Probes run immediately (before any user
   // input); their outcome is visible via the audit log / alert overlay.

@@ -65,7 +65,6 @@ class Surface {
     mapped_at_ = now;  // visibility clock restarts on every map
   }
   void unmap() noexcept { mapped_ = false; }
-  [[nodiscard]] sim::Timestamp mapped_at() const noexcept { return mapped_at_; }
 
   // How long the surface has been continuously visible.
   [[nodiscard]] sim::Duration visible_for(sim::Timestamp now) const noexcept {

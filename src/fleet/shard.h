@@ -32,16 +32,6 @@ using ShardId = int;
 // held a shard whose resources were released back to the harness.
 enum class ShardState : std::uint8_t { kEmpty, kRunning, kDraining, kReaped };
 
-[[nodiscard]] constexpr const char* shard_state_name(ShardState s) noexcept {
-  switch (s) {
-    case ShardState::kEmpty: return "empty";
-    case ShardState::kRunning: return "running";
-    case ShardState::kDraining: return "draining";
-    case ShardState::kReaped: return "reaped";
-  }
-  return "empty";
-}
-
 class Shard {
  public:
   // `config` must already carry the shard's metrics prefix; `epoch` is the

@@ -73,10 +73,6 @@ class DeviceRegistry {
   void unmap_path(const std::string& path);
   [[nodiscard]] std::optional<DeviceId> device_at(const std::string& path) const;
 
-  [[nodiscard]] std::size_t mapped_count() const noexcept {
-    return path_map_.size();
-  }
-
  private:
   std::map<DeviceId, Device> devices_;
   std::map<std::string, DeviceId> path_map_;

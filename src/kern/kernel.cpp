@@ -24,9 +24,7 @@ Kernel::Kernel(sim::Clock& clock, KernelConfig config)
       ptys_(ipc_policy_),
       fifos_(ipc_policy_),
       posix_mqs_(ipc_policy_),
-      sysv_mqs_(ipc_policy_),
       posix_shms_(ipc_policy_),
-      sysv_shms_(ipc_policy_),
       unix_sockets_(ipc_policy_) {
   // Must precede every instrument registration (all of which happen below in
   // wire_observability or later at attach time): the prefix is applied when

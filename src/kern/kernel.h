@@ -91,11 +91,8 @@ class Kernel {
   [[nodiscard]] obs::Observability& obs() noexcept { return obs_; }
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
-  [[nodiscard]] FifoNamespace& fifos() noexcept { return fifos_; }
   [[nodiscard]] PosixMqNamespace& posix_mqs() noexcept { return posix_mqs_; }
-  [[nodiscard]] SysvMqNamespace& sysv_mqs() noexcept { return sysv_mqs_; }
   [[nodiscard]] PosixShmNamespace& posix_shms() noexcept { return posix_shms_; }
-  [[nodiscard]] SysvShmNamespace& sysv_shms() noexcept { return sysv_shms_; }
   [[nodiscard]] UnixSocketNamespace& unix_sockets() noexcept {
     return unix_sockets_;
   }
@@ -212,9 +209,7 @@ class Kernel {
   PtyDriver ptys_;
   FifoNamespace fifos_;
   PosixMqNamespace posix_mqs_;
-  SysvMqNamespace sysv_mqs_;
   PosixShmNamespace posix_shms_;
-  SysvShmNamespace sysv_shms_;
   UnixSocketNamespace unix_sockets_;
 
   std::unique_ptr<UdevHelper> udev_helper_;

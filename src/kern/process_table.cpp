@@ -101,7 +101,8 @@ Result<Pid> ProcessTable::fork(Pid parent_pid) {
   // the task_struct copy — no extra Overhaul code needed (paper §IV-B).
   child.interaction_ts = parent->interaction_ts;
   child.acg_grants = parent->acg_grants;
-  // fd table copied; descriptions shared (refcount), like real fork.
+  // fd table copied as one array, descriptions shared (refcount), like
+  // dup_fd. A recycled slot copies into the storage reap left it.
   child.fds = parent->fds;
   child.next_fd = parent->next_fd;
   return pid;
@@ -173,7 +174,11 @@ Status ProcessTable::reap(Pid pid) {
   // Invalidate outstanding handles before the slot can be recycled.
   ++slot.generation;
   slot.in_use = false;
-  slot.task = TaskStruct{};  // release strings/fds held by the tombstone
+  // Release the tombstone's strings, but hand the slot back the descriptor
+  // table's storage (exit emptied it) for the next task forked into it.
+  FdTable fds = std::move(slot.task.fds);
+  slot.task = TaskStruct{};
+  slot.task.fds = std::move(fds);
   free_slots_.push_back(index);
   return Status::ok();
 }

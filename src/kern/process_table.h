@@ -69,8 +69,9 @@ class ProcessTable {
   // launcher → exec(screenshot-tool) work (Fig. 3).
   util::Status execve(Pid pid, std::string exe_path, std::string comm);
 
-  // exit(2): mark dead, detach tracees, drop fds. The table keeps a tombstone
-  // so late permission queries against the pid fail cleanly.
+  // exit(2): mark dead, detach tracees, drop fds (the fd table keeps its
+  // storage). The table keeps a tombstone so late permission queries against
+  // the pid fail cleanly.
   util::Status exit(Pid pid);
 
   // wait(2)-style reclamation: release a tombstone's slot back to the

@@ -1,5 +1,14 @@
 #include "kern/task.h"
 
+#include <stdexcept>
+
 namespace overhaul::kern {
-// TaskStruct is a plain data aggregate; logic lives in ProcessTable.
+
+const std::shared_ptr<FileDescription>& FdTable::at(int n) const {
+  const auto it = lower_bound(n);
+  if (it == entries_.end() || it->first != n)
+    throw std::out_of_range("FdTable::at: fd not open");
+  return it->second;
+}
+
 }  // namespace overhaul::kern

@@ -12,12 +12,13 @@
 // call, and make one virtual call.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.h"
@@ -60,6 +61,66 @@ class FileDescription {
     return util::Status(util::Code::kNotSupported,
                         "read: unsupported description");
   }
+};
+
+// A task's descriptor table: (fd, description) pairs in one vector, sorted
+// by fd. Like Linux's fdtable, which fork copies as one array (`dup_fd`), a
+// fork copies it in one go. fds come from TaskStruct::next_fd and are never
+// reused, so installing one appends and a lookup searches a few contiguous
+// entries. It is not indexed by fd number: that array would grow with every
+// fd a long-lived task ever opened. clear() keeps the storage, which
+// ProcessTable::reap hands back to the slot, so a fork into a recycled slot
+// copies into capacity it already has.
+class FdTable {
+ public:
+  using Entry = std::pair<int, std::shared_ptr<FileDescription>>;
+
+  // Binds fd `n` to `desc`, replacing any description it had.
+  void insert(int n, std::shared_ptr<FileDescription> desc) {
+    const auto it = lower_bound(n);
+    if (it != entries_.end() && it->first == n) {
+      it->second = std::move(desc);
+    } else {
+      entries_.emplace(it, n, std::move(desc));
+    }
+  }
+
+  // The description behind fd `n`, or nullptr when it is not open.
+  [[nodiscard]] FileDescription* get(int n) const noexcept {
+    const auto it = lower_bound(n);
+    return it != entries_.end() && it->first == n ? it->second.get() : nullptr;
+  }
+
+  // The description behind fd `n`, shared, to hand it to another task.
+  // Throws std::out_of_range when `n` is not open.
+  [[nodiscard]] const std::shared_ptr<FileDescription>& at(int n) const;
+
+  // Drops fd `n`; false when it was not open.
+  bool erase(int n) {
+    const auto it = lower_bound(n);
+    if (it == entries_.end() || it->first != n) return false;
+    entries_.erase(it);
+    return true;
+  }
+
+  // Drops every fd and keeps the storage.
+  void clear() noexcept { entries_.clear(); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] auto begin() const noexcept { return entries_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return entries_.end(); }
+
+ private:
+  // The first entry whose fd is not below `n`.
+  [[nodiscard]] std::vector<Entry>::iterator lower_bound(int n) noexcept {
+    return std::ranges::lower_bound(entries_, n, {}, &Entry::first);
+  }
+  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(
+      int n) const noexcept {
+    return std::ranges::lower_bound(entries_, n, {}, &Entry::first);
+  }
+
+  std::vector<Entry> entries_;
 };
 
 // The per-process structure. Owned by the ProcessTable; referenced widely.
@@ -136,12 +197,12 @@ struct TaskStruct {
   [[nodiscard]] bool is_traced() const noexcept { return traced_by != kNoPid; }
 
   // --- descriptor table ----------------------------------------------------
-  std::map<int, std::shared_ptr<FileDescription>> fds;
+  FdTable fds;
   int next_fd = 3;  // 0/1/2 notionally reserved for stdio
 
   int install_fd(std::shared_ptr<FileDescription> desc) {
     const int fd = next_fd++;
-    fds.emplace(fd, std::move(desc));
+    fds.insert(fd, std::move(desc));
     return fd;
   }
 
@@ -149,13 +210,10 @@ struct TaskStruct {
   // syscall instead of copying the shared_ptr and its two atomic refcount
   // operations. The borrow is safe because only close_fd, exit and reap drop
   // a table entry, and no description operation calls any of them: the
-  // entry, and so the description, outlives the call.
-  [[nodiscard]] FileDescription* fd(int n) const {
-    const auto it = fds.find(n);
-    return it == fds.end() ? nullptr : it->second.get();
-  }
+  // description outlives the call, even if an insert moves the entries.
+  [[nodiscard]] FileDescription* fd(int n) const { return fds.get(n); }
 
-  bool close_fd(int n) { return fds.erase(n) > 0; }
+  bool close_fd(int n) { return fds.erase(n); }
 };
 
 }  // namespace overhaul::kern

@@ -72,7 +72,6 @@ class XServer final : public core::DisplayBackend {
   util::Status xtest_fake_button(ClientId sender, int x, int y);
   util::Status xtest_fake_key(ClientId sender, int keycode);
 
-  void set_focus(WindowId window) noexcept { focus_ = window; }
   [[nodiscard]] WindowId focus() const noexcept { return focus_; }
 
   // --- input grabs (XGrabKeyboard / XGrabPointer) -----------------------------
@@ -85,12 +84,6 @@ class XServer final : public core::DisplayBackend {
   util::Status ungrab_keyboard(ClientId client);
   util::Status grab_pointer(ClientId client, WindowId window);
   util::Status ungrab_pointer(ClientId client);
-  [[nodiscard]] WindowId keyboard_grab() const noexcept {
-    return keyboard_grab_;
-  }
-  [[nodiscard]] WindowId pointer_grab() const noexcept {
-    return pointer_grab_;
-  }
 
   // --- sub-managers -------------------------------------------------------------------
   [[nodiscard]] SelectionManager& selections() noexcept { return selections_; }

@@ -92,7 +92,7 @@ TEST_F(CliPtyTest, PipelineThroughShellToolChain) {
   // Hand the read end to tool2 (as the shell's fd plumbing would).
   auto* t1 = k.processes().lookup(tool1);
   auto* t2 = k.processes().lookup(tool2);
-  t2->fds[0] = t1->fds.at(fds.first);
+  t2->fds.insert(0, t1->fds.at(fds.first));
 
   ASSERT_TRUE(k.sys_write(tool1, fds.second, "data").is_ok());
   ASSERT_TRUE(k.sys_read(tool2, 0, 16).is_ok());

@@ -106,7 +106,9 @@ TEST_F(DBusTest, DaemonTimestampExpiresNormally) {
 
 TEST_F(DBusTest, MalwareCallingPortalGainsNothing) {
   // A background process with no interaction cannot use the portal as a
-  // confused deputy: the portal only ever inherits the *caller's* stamp.
+  // confused deputy here, but only because nothing else on the bus carries
+  // a fresh stamp: the daemon stamps every message it forwards with the
+  // freshest stamp of any client (BusRiderRidesAnUnrelatedClick).
   auto mal_pid = sys_.launch_daemon("/home/user/.mal", "mal").value();
   auto mal = bus_->connect(mal_pid).value();
   auto portal_pid =
@@ -123,6 +125,48 @@ TEST_F(DBusTest, MalwareCallingPortalGainsNothing) {
                                      kern::OpenFlags::kRead);
     EXPECT_EQ(fd.code(), Code::kOverhaulDenied);
   }
+}
+
+// P2 over-approximation, pinned as it stands: the daemon adopts the
+// freshest stamp of any client and stamps every message it forwards with
+// it, as the paper's P2 rule says. So a process that never saw input rides
+// an unrelated user-driven call: routed in the same pump as a clicked app's
+// call to another service, its OpenCamera reaches the portal carrying the
+// app's stamp, and the portal's camera open is granted.
+TEST_F(DBusTest, BusRiderRidesAnUnrelatedClick) {
+  auto gui = sys_.launch_gui_app("/usr/bin/editor", "editor").value();
+  auto app = bus_->connect(gui.pid).value();
+  auto notes_pid = sys_.launch_daemon("/usr/bin/notes", "notes").value();
+  auto notes = bus_->connect(notes_pid).value();
+  ASSERT_TRUE(notes->request_name("org.example.Notes").is_ok());
+  auto rider_pid = sys_.launch_daemon("/home/user/.rider", "rider").value();
+  auto rider = bus_->connect(rider_pid).value();
+  auto portal_pid =
+      sys_.launch_daemon("/usr/bin/xdg-portal", "xdg-portal").value();
+  auto portal = bus_->connect(portal_pid).value();
+  ASSERT_TRUE(portal->request_name("org.overhaul.Portal").is_ok());
+
+  const auto& r = sys_.xserver().surface(gui.window)->rect();
+  sys_.input().click(r.x + 1, r.y + 1);
+  ASSERT_TRUE(app->call("org.example.Notes", "Save", "").is_ok());
+  ASSERT_TRUE(rider->call("org.overhaul.Portal", "OpenCamera", "").is_ok());
+  EXPECT_EQ(bus_->pump(), 2u);
+  ASSERT_TRUE(notes->next_message().has_value());
+  const auto call = portal->next_message();
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->member, "OpenCamera");
+
+  // The rider holds no stamp of its own...
+  EXPECT_EQ(sys_.kernel()
+                .sys_open(rider_pid, core::OverhaulSystem::camera_path(),
+                          kern::OpenFlags::kRead)
+                .code(),
+            Code::kOverhaulDenied);
+  // ...but the portal it called opens the camera on the app's click.
+  auto fd = sys_.kernel().sys_open(portal_pid,
+                                   core::OverhaulSystem::camera_path(),
+                                   kern::OpenFlags::kRead);
+  EXPECT_TRUE(fd.is_ok()) << fd.status().to_string();
 }
 
 TEST_F(DBusTest, StatsCountRoutedAndDropped) {

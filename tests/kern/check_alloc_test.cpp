@@ -272,8 +272,8 @@ class MessagePathAllocTest : public ::testing::Test {
 
 TEST_F(MessagePathAllocTest, Pipe) {
   const auto [rfd, wfd] = k_.sys_pipe(a_).value();
-  k_.processes().lookup_live(b_)->fds[rfd] =
-      k_.processes().lookup_live(a_)->fds.at(rfd);
+  k_.processes().lookup_live(b_)->fds.insert(
+      rfd, k_.processes().lookup_live(a_)->fds.at(rfd));
   expect_fd_round_trips(wfd, rfd);
 }
 
@@ -286,8 +286,8 @@ TEST_F(MessagePathAllocTest, Fifo) {
 
 TEST_F(MessagePathAllocTest, Socketpair) {
   const auto [wfd, rfd] = k_.sys_socketpair(a_).value();
-  k_.processes().lookup_live(b_)->fds[rfd] =
-      k_.processes().lookup_live(a_)->fds.at(rfd);
+  k_.processes().lookup_live(b_)->fds.insert(
+      rfd, k_.processes().lookup_live(a_)->fds.at(rfd));
   expect_fd_round_trips(wfd, rfd);
 }
 
@@ -322,6 +322,55 @@ TEST_F(MessagePathAllocTest, CrossShardPairShortMessageIsAllocationFree) {
   for (int i = 0; i < 4; ++i) round_trip();  // warm the queue
   for (int i = 0; i < 64; ++i)
     EXPECT_EQ(allocations_during(round_trip), 0u) << "round trip " << i;
+}
+
+// The process path (DESIGN.md §10): fork copies the parent's descriptor
+// table as one array into the storage its recycled slot kept, exit empties
+// the table and reap hands the storage back to the slot. So a warm spawn +
+// exit + reap of a pipeline stage allocates nothing, however many
+// descriptors the shell holds. The names fit std::string's inline buffer,
+// so the image copy and exec allocate nothing either.
+class SpawnPathAllocTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpawnPathAllocTest, WarmSpawnExitReapIsAllocationFree) {
+  const int inherited = GetParam();
+  sim::Clock clock;
+  Kernel k(clock);
+  const Pid shell = k.sys_spawn(1, "/bin/sh", "sh").value();
+  for (int i = 0; i < inherited; i += 2) ASSERT_TRUE(k.sys_pipe(shell).is_ok());
+  const auto round = [&] {
+    const Pid stage = k.sys_spawn(shell, "/usr/bin/stage", "stage").value();
+    ASSERT_EQ(k.processes().lookup_live(stage)->fds.size(),
+              static_cast<std::size_t>(inherited));
+    ASSERT_TRUE(k.sys_exit(stage).is_ok());
+    ASSERT_TRUE(k.processes().reap(stage).is_ok());
+  };
+  for (int i = 0; i < 4; ++i) round();  // warm the slots
+  for (int i = 0; i < 64; ++i)
+    EXPECT_EQ(allocations_during(round), 0u) << "round " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(InheritedFds, SpawnPathAllocTest,
+                         ::testing::Values(0, 2, 6), [](const auto& info) {
+                           return "Fds" + std::to_string(info.param);
+                         });
+
+// A warm create + close + unlink of a /tmp file allocates three times, all
+// for the file: its inode, its directory entry and its open description.
+// The descriptor slot reuses the table's storage.
+TEST(FdSlotAllocTest, WarmCreateCloseAllocatesNothingForTheSlot) {
+  sim::Clock clock;
+  Kernel k(clock);
+  const Pid stage = k.sys_spawn(1, "/usr/bin/stage", "stage").value();
+  const auto create_close_unlink = [&] {
+    const auto fd = k.sys_open(stage, "/tmp/out", OpenFlags::kCreate);
+    ASSERT_TRUE(fd.is_ok());
+    ASSERT_TRUE(k.sys_close(stage, fd.value()).is_ok());
+    ASSERT_TRUE(k.sys_unlink(stage, "/tmp/out").is_ok());
+  };
+  for (int i = 0; i < 4; ++i) create_close_unlink();
+  for (int i = 0; i < 64; ++i)
+    EXPECT_EQ(allocations_during(create_close_unlink), 3u) << "round " << i;
 }
 
 // Every fleet seat boot builds these: an X11 seat's atom registry and each

@@ -56,13 +56,28 @@ TEST_F(KernelTest, PipeSurvivesForkSharing) {
   EXPECT_EQ(data.value(), "from-parent");
 }
 
+TEST_F(KernelTest, ChildClosingInheritedEndLeavesParentsOpen) {
+  const Pid parent = spawn();
+  const auto [rfd, wfd] = k_.sys_pipe(parent).value();
+  const Pid child = k_.sys_fork(parent).value();
+  ASSERT_TRUE(k_.sys_close(child, wfd).is_ok());
+  EXPECT_EQ(k_.sys_write(child, wfd, "x").code(), Code::kInvalidArgument);
+  ASSERT_TRUE(k_.sys_write(parent, wfd, "after-close").is_ok());
+  EXPECT_EQ(k_.sys_read(child, rfd, 32).value_or("?"), "after-close");
+  // The child's exit and reap drop its references, not the parent's.
+  ASSERT_TRUE(k_.sys_exit(child).is_ok());
+  ASSERT_TRUE(k_.processes().reap(child).is_ok());
+  ASSERT_TRUE(k_.sys_write(parent, wfd, "after-reap").is_ok());
+  EXPECT_EQ(k_.sys_read(parent, rfd, 32).value_or("?"), "after-reap");
+}
+
 TEST_F(KernelTest, PipePropagatesInteraction) {
   const Pid a = spawn("a");
   const Pid b = spawn("b");
   auto fds = k_.sys_pipe(a).value();
   // Hand the read end to b (as a supervisor would via fd passing).
-  k_.processes().lookup(b)->fds[100] =
-      k_.processes().lookup(a)->fds.at(fds.first);
+  k_.processes().lookup(b)->fds.insert(
+      100, k_.processes().lookup(a)->fds.at(fds.first));
   clock_.advance(sim::Duration::seconds(1));
   k_.monitor().record_interaction(a, clock_.now());
   ASSERT_TRUE(k_.sys_write(a, fds.second, "data").is_ok());
@@ -115,6 +130,21 @@ TEST_F(KernelTest, CloseInvalidatesFd) {
   EXPECT_EQ(k_.sys_close(pid, fd).code(), Code::kInvalidArgument);
 }
 
+TEST_F(KernelTest, CloseOfUnknownFdIsBadFd) {
+  const Pid pid = spawn();
+  const auto [rfd, wfd] = k_.sys_pipe(pid).value();
+  const int file = k_.sys_open(pid, "/tmp/file", OpenFlags::kCreate).value();
+  ASSERT_TRUE(k_.sys_close(pid, wfd).is_ok());
+  // Below the first open fd, in the hole between two, past the last.
+  for (const int fd : {-1, 0, rfd - 1, wfd, file + 1, 1'000}) {
+    const util::Status s = k_.sys_close(pid, fd);
+    EXPECT_EQ(s.code(), Code::kInvalidArgument) << "fd " << fd;
+    EXPECT_EQ(s.message(), "bad fd") << "fd " << fd;
+  }
+  EXPECT_TRUE(k_.sys_close(pid, rfd).is_ok());
+  EXPECT_TRUE(k_.sys_close(pid, file).is_ok());
+}
+
 TEST_F(KernelTest, UnlinkRespectsOwnership) {
   const Pid owner = spawn("owner");
   k_.processes().lookup(owner)->uid = 1000;
@@ -158,8 +188,8 @@ TEST_F(KernelTest, SocketpairPropagatesInteraction) {
   const Pid a = spawn("a");
   const Pid b = spawn("b");
   auto fds = k_.sys_socketpair(a).value();
-  k_.processes().lookup(b)->fds[50] =
-      k_.processes().lookup(a)->fds.at(fds.second);
+  k_.processes().lookup(b)->fds.insert(
+      50, k_.processes().lookup(a)->fds.at(fds.second));
   clock_.advance(sim::Duration::seconds(1));
   k_.monitor().record_interaction(a, clock_.now());
   ASSERT_TRUE(k_.sys_write(a, fds.first, "msg").is_ok());

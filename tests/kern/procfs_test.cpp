@@ -145,6 +145,21 @@ TEST_F(ProcFsTest, FdNodeListsDescriptors) {
             std::string::npos);
 }
 
+TEST_F(ProcFsTest, FdNodeListsDescriptorsInFdOrder) {
+  const Pid app = user_proc("app");
+  const auto [rfd, wfd] = k_.sys_pipe(app).value();
+  TaskStruct& task = *k_.processes().lookup(app);
+  // Handed over out of order, above the fds the task numbered itself.
+  task.fds.insert(100, task.fds.at(rfd));
+  task.fds.insert(50, task.fds.at(wfd));
+  auto listing =
+      k_.sys_proc_read(1, "/proc/" + std::to_string(app) + "/fd");
+  ASSERT_TRUE(listing.is_ok());
+  EXPECT_EQ(listing.value(), std::to_string(rfd) + " -> pipe:r\n" +
+                                std::to_string(wfd) +
+                                " -> pipe:w\n50 -> pipe:w\n100 -> pipe:r\n");
+}
+
 TEST_F(ProcFsTest, CommAndExeNodes) {
   const Pid app = user_proc("gedit");
   EXPECT_EQ(k_.sys_proc_read(1, "/proc/" + std::to_string(app) + "/comm")
