@@ -89,19 +89,4 @@ Result<std::pair<long, std::string>> SysvMq::receive(TaskStruct& receiver,
   return out;
 }
 
-Result<std::shared_ptr<SysvMq>> SysvMqNamespace::get(int key, bool create,
-                                                     std::size_t max_bytes) {
-  const auto it = queues_.find(key);
-  if (it != queues_.end()) return it->second;
-  if (!create) return Status(Code::kNotFound, "msgget: no queue for key");
-  auto q = std::make_shared<SysvMq>(policy_, max_bytes);
-  queues_.emplace(key, q);
-  return q;
-}
-
-Status SysvMqNamespace::remove(int key) {
-  return queues_.erase(key) > 0 ? Status::ok()
-                                : Status(Code::kNotFound, "msgctl: no queue");
-}
-
 }  // namespace overhaul::kern

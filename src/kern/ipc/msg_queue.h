@@ -1,4 +1,4 @@
-// Message queues: POSIX (named, priority-ordered) and SysV (key, typed).
+// Message queues: POSIX (named, priority-ordered) and SysV (typed).
 //
 // Both are on the paper's supported list (§IV-B: "all of POSIX shared memory
 // and message queues, UNIX SysV shared memory and message queues, ..."). The
@@ -89,22 +89,6 @@ class SysvMq : public IpcObject {
   std::size_t max_bytes_;
   std::size_t used_bytes_ = 0;
   std::deque<Msg> messages_;
-};
-
-// SysV queue namespace (integer key → queue id).
-class SysvMqNamespace {
- public:
-  explicit SysvMqNamespace(const IpcPolicy& policy) : policy_(policy) {}
-
-  // msgget: create or look up by key.
-  util::Result<std::shared_ptr<SysvMq>> get(int key, bool create,
-                                            std::size_t max_bytes = 16384);
-  util::Status remove(int key);
-  [[nodiscard]] std::size_t count() const noexcept { return queues_.size(); }
-
- private:
-  const IpcPolicy& policy_;
-  std::map<int, std::shared_ptr<SysvMq>> queues_;
 };
 
 }  // namespace overhaul::kern

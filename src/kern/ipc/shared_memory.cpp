@@ -43,22 +43,4 @@ Status PosixShmNamespace::unlink(const std::string& name) {
                                    : Status(Code::kNotFound, name);
 }
 
-Result<std::shared_ptr<ShmSegment>> SysvShmNamespace::get(int key, bool create,
-                                                          std::size_t bytes) {
-  const auto it = segments_.find(key);
-  if (it != segments_.end()) return it->second;
-  if (!create) return Status(Code::kNotFound, "shmget: no segment for key");
-  if (bytes == 0)
-    return Status(Code::kInvalidArgument, "shmget: zero size");
-  auto seg = std::make_shared<ShmSegment>(policy_, bytes);
-  segments_.emplace(key, seg);
-  return seg;
-}
-
-Status SysvShmNamespace::remove(int key) {
-  return segments_.erase(key) > 0
-             ? Status::ok()
-             : Status(Code::kNotFound, "shmctl: no segment");
-}
-
 }  // namespace overhaul::kern

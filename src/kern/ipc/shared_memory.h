@@ -1,6 +1,5 @@
-// Shared memory IPC: POSIX (shm_open) and SysV (shmget) segments, with
-// attachments (mmap / shmat) that route every access through the
-// PageFaultEngine.
+// Shared memory IPC: POSIX (shm_open) segments, with attachments (mmap)
+// that route every access through the PageFaultEngine.
 //
 // A segment carries the embedded interaction timestamp (IpcObject); each
 // attachment is the vm_area_struct analogue holding the armed/disarmed MMU
@@ -121,21 +120,6 @@ class PosixShmNamespace {
  private:
   const IpcPolicy& policy_;
   std::map<std::string, std::shared_ptr<ShmSegment>> segments_;
-};
-
-// SysV shm namespace: shmget(key) → segment.
-class SysvShmNamespace {
- public:
-  explicit SysvShmNamespace(const IpcPolicy& policy) : policy_(policy) {}
-
-  util::Result<std::shared_ptr<ShmSegment>> get(int key, bool create,
-                                                std::size_t bytes = 0);
-  util::Status remove(int key);
-  [[nodiscard]] std::size_t count() const noexcept { return segments_.size(); }
-
- private:
-  const IpcPolicy& policy_;
-  std::map<int, std::shared_ptr<ShmSegment>> segments_;
 };
 
 }  // namespace overhaul::kern

@@ -242,11 +242,7 @@ Result<StatBuf> Kernel::sys_stat(const std::string& path) {
 Status Kernel::sys_unlink(Pid pid, const std::string& path) {
   TaskStruct* task = processes_.lookup_live(pid);
   if (task == nullptr) return Status(Code::kNotFound, "unlink: no such process");
-  auto st = vfs_.stat(path);
-  if (!st.is_ok()) return st.status();
-  if (task->uid != kRootUid && task->uid != st.value().uid)
-    return Status(Code::kPermissionDenied, path);
-  return vfs_.unlink(path);
+  return vfs_.unlink(path, task->uid);
 }
 
 Status Kernel::sys_mkdir(Pid pid, const std::string& path) {

@@ -4,16 +4,19 @@
 // "it suffices on Linux to monitor open system call invocations on device
 // nodes exposed in the filesystem" (§IV-B). Also carries the Bonnie++-style
 // Table-I filesystem benchmark (create / stat / delete of many files), so
-// create, stat and unlink are real operations with per-directory entry
-// bookkeeping — not stubs.
+// create, stat and unlink are real operations on a name table — not stubs.
+//
+// The name table is keyed by full path, like Linux's dcache hash (DESIGN.md
+// §10 "Hashed dentry table"): a flat open-addressed table of slots that
+// index a vector of entries, so a lookup is one hash, a probe and one string
+// compare. An unlinked entry keeps its path buffer and its inode for the next
+// create, unless an open description still holds that inode; so a warm
+// create, stat or unlink allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,7 +102,8 @@ class VfsFile final : public FileDescription {
 };
 
 // Observer for device-tree changes; the trusted udev helper subscribes so it
-// can keep the kernel's sensitive-path map current (§IV-B).
+// can keep the kernel's sensitive-path map current (§IV-B). A callback must
+// not change the Vfs that calls it.
 class DevTreeObserver {
  public:
   virtual ~DevTreeObserver() = default;
@@ -112,50 +116,88 @@ class Vfs {
   Vfs();
 
   // --- namespace operations -------------------------------------------------
-  util::Status mkdir(const std::string& path, Uid uid, Mode mode = {});
-  util::Status mknod(const std::string& path, DeviceId device, Uid uid,
+  util::Status mkdir(std::string_view path, Uid uid, Mode mode = {});
+  util::Status mknod(std::string_view path, DeviceId device, Uid uid,
                      Mode mode = Mode::world_rw());
-  util::Status mkfifo(const std::string& path, std::uint32_t fifo_key, Uid uid,
+  util::Status mkfifo(std::string_view path, std::uint32_t fifo_key, Uid uid,
                       Mode mode = Mode::world_rw());
   // Slave node for a pseudo-terminal (conventionally /dev/pts/<index>).
-  util::Status mkpty(const std::string& path, int pty_index, Uid uid,
+  util::Status mkpty(std::string_view path, int pty_index, Uid uid,
                      Mode mode = Mode::world_rw());
-  util::Status unlink(const std::string& path);
-  util::Status rename(const std::string& from, const std::string& to);
+  // Removes a non-directory entry; a `caller` other than root must own it.
+  util::Status unlink(std::string_view path, Uid caller = kRootUid);
+  // Moves `from`, and everything under it when it is a directory, to `to`.
+  util::Status rename(std::string_view from, std::string_view to);
 
   // --- file operations --------------------------------------------------------
   // Resolve + DAC-check an open. Device/Overhaul mediation happens in the
   // Kernel facade on top of this. Creates the file when kCreate is set.
   util::Result<std::shared_ptr<Inode>> open(const TaskStruct& task,
-                                            const std::string& path,
+                                            std::string_view path,
                                             OpenFlags flags);
-  util::Result<StatBuf> stat(const std::string& path) const;
+  util::Result<StatBuf> stat(std::string_view path) const;
 
-  [[nodiscard]] bool exists(const std::string& path) const {
-    return inodes_.count(path) > 0;
+  [[nodiscard]] bool exists(std::string_view path) const {
+    return probe(path).found;
   }
-  [[nodiscard]] std::size_t entry_count() const noexcept {
-    return inodes_.size();
-  }
-  // Paths directly under `dir` (one level).
-  [[nodiscard]] std::vector<std::string> list(const std::string& dir) const;
+  [[nodiscard]] std::size_t entry_count() const noexcept { return live_; }
+  // Paths directly under `dir` (one level), in sorted order.
+  [[nodiscard]] std::vector<std::string> list(std::string_view dir) const;
 
-  // Every device node currently in the tree (path, device id). Used for the
-  // udev coldplug pass at helper startup.
+  // Every device node currently in the tree (path, device id), sorted by
+  // path. Used for the udev coldplug pass at helper startup.
   [[nodiscard]] std::vector<std::pair<std::string, DeviceId>> device_nodes()
       const;
 
   void subscribe_devtree(DevTreeObserver* obs) { observers_.push_back(obs); }
 
  private:
-  [[nodiscard]] static std::string parent_of(const std::string& path);
-  [[nodiscard]] util::Status check_parent(const std::string& path) const;
+  // A name. While unlinked it sits on the free list and keeps `path`'s buffer
+  // and `inode` for the next create; open descriptions may share `inode`.
+  struct Entry {
+    std::string path;
+    std::shared_ptr<Inode> inode;
+    std::uint32_t next_free = 0;  // free-list link while unlinked
+    bool live = false;
+  };
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t entry_plus1 = 0;  // 0 = empty slot
+  };
+  // Where `path` sits in slots_, or the empty slot it would take.
+  struct Probe {
+    std::size_t slot;
+    std::uint32_t hash;
+    bool found;
+  };
+
+  [[nodiscard]] Probe probe(std::string_view path) const;
+  [[nodiscard]] const Entry& entry_at(std::size_t slot) const {
+    return entries_[slots_[slot].entry_plus1 - 1];
+  }
+  // Names `path` (whose probe `at` missed) with a fresh inode.
+  Entry& insert(std::string_view path, const Probe& at, InodeType type,
+                Uid uid, Mode mode);
+  // The checks every mk* shares, then insert().
+  util::Result<Entry*> make_node(std::string_view path, InodeType type,
+                                 Uid uid, Mode mode);
+  // Empties slots_[slot] (backward-shift deletion: no tombstones).
+  void erase_slot(std::size_t slot);
+  void put_slot(std::uint32_t hash, std::uint32_t entry);
+  void grow();
+
+  [[nodiscard]] static std::string_view parent_of(std::string_view path);
+  [[nodiscard]] util::Status check_parent(std::string_view path) const;
   [[nodiscard]] static bool dac_allows(const TaskStruct& task,
                                        const Inode& inode, OpenFlags flags);
   void notify_added(const std::string& path, DeviceId id);
   void notify_removed(const std::string& path, DeviceId id);
 
-  std::map<std::string, std::shared_ptr<Inode>> inodes_;
+  std::vector<Entry> entries_;
+  std::vector<Slot> slots_;  // power-of-two, linear probing, <= 7/10 load
+  std::size_t mask_ = 0;
+  std::size_t live_ = 0;
+  std::uint32_t free_head_ = 0;  // entry index + 1; 0 = none
   std::vector<DevTreeObserver*> observers_;
   std::uint64_t next_ino_ = 1;
 };

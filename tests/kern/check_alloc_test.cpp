@@ -355,9 +355,9 @@ INSTANTIATE_TEST_SUITE_P(InheritedFds, SpawnPathAllocTest,
                            return "Fds" + std::to_string(info.param);
                          });
 
-// A warm create + close + unlink of a /tmp file allocates three times, all
-// for the file: its inode, its directory entry and its open description.
-// The descriptor slot reuses the table's storage.
+// A warm create + close + unlink of a /tmp file allocates once, for its open
+// description. The descriptor slot reuses the table's storage, and the name
+// reuses the entry, path buffer and inode the last unlink left behind.
 TEST(FdSlotAllocTest, WarmCreateCloseAllocatesNothingForTheSlot) {
   sim::Clock clock;
   Kernel k(clock);
@@ -370,7 +370,36 @@ TEST(FdSlotAllocTest, WarmCreateCloseAllocatesNothingForTheSlot) {
   };
   for (int i = 0; i < 4; ++i) create_close_unlink();
   for (int i = 0; i < 64; ++i)
-    EXPECT_EQ(allocations_during(create_close_unlink), 3u) << "round " << i;
+    EXPECT_EQ(allocations_during(create_close_unlink), 1u) << "round " << i;
+}
+
+// Name lookups allocate nothing (DESIGN.md §10 "Hashed dentry table"): a warm
+// stat, exists or unlink of an existing path is a hash, a probe and a
+// compare, and a create takes the entry an unlink freed, path buffer and
+// inode included — here with a name too long for std::string's inline
+// buffer.
+TEST(DentryAllocTest, WarmStatExistsUnlinkAndCreateAllocateNothing) {
+  sim::Clock clock;
+  Kernel k(clock);
+  const Pid stage = k.sys_spawn(1, "/usr/bin/stage", "stage").value();
+  const TaskStruct& task = *k.processes().lookup_live(stage);
+  const std::string path = "/tmp/bonnie.output.000042";
+  const auto create = [&] {
+    ASSERT_TRUE(k.vfs().open(task, path, OpenFlags::kCreate).is_ok());
+  };
+  const auto stat_exists_unlink = [&] {
+    ASSERT_TRUE(k.sys_stat(path).is_ok());
+    ASSERT_TRUE(k.vfs().exists(path));
+    ASSERT_TRUE(k.sys_unlink(stage, path).is_ok());
+  };
+  for (int i = 0; i < 4; ++i) {
+    create();
+    stat_exists_unlink();
+  }
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(allocations_during(create), 0u) << "round " << i;
+    EXPECT_EQ(allocations_during(stat_exists_unlink), 0u) << "round " << i;
+  }
 }
 
 // Every fleet seat boot builds these: an X11 seat's atom registry and each

@@ -126,16 +126,6 @@ TEST_F(MqTest, SysvTimestampPropagation) {
   EXPECT_EQ(receiver_.interaction_ts.ns, 77);
 }
 
-TEST_F(MqTest, SysvNamespaceByKey) {
-  SysvMqNamespace ns(policy_);
-  EXPECT_EQ(ns.get(0x1234, false).code(), Code::kNotFound);
-  auto q = ns.get(0x1234, true);
-  ASSERT_TRUE(q.is_ok());
-  EXPECT_EQ(ns.get(0x1234, false).value().get(), q.value().get());
-  ASSERT_TRUE(ns.remove(0x1234).is_ok());
-  EXPECT_EQ(ns.remove(0x1234).code(), Code::kNotFound);
-}
-
 TEST_F(MqTest, BaselineNoPropagation) {
   IpcPolicy off{false};
   PosixMq mq(off, 10);

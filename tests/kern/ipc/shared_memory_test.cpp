@@ -146,15 +146,5 @@ TEST_F(ShmTest, PosixNamespace) {
   ASSERT_TRUE(ns.unlink("/seg").is_ok());
 }
 
-TEST_F(ShmTest, SysvNamespace) {
-  SysvShmNamespace ns(policy_);
-  EXPECT_EQ(ns.get(42, false).code(), Code::kNotFound);
-  auto seg = ns.get(42, true, 8192);
-  ASSERT_TRUE(seg.is_ok());
-  EXPECT_EQ(ns.get(42, false).value().get(), seg.value().get());
-  ASSERT_TRUE(ns.remove(42).is_ok());
-  EXPECT_EQ(ns.remove(42).code(), Code::kNotFound);
-}
-
 }  // namespace
 }  // namespace overhaul::kern

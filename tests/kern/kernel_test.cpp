@@ -155,6 +155,31 @@ TEST_F(KernelTest, UnlinkRespectsOwnership) {
   EXPECT_TRUE(k_.sys_unlink(owner, "/tmp/mine").is_ok());
 }
 
+// The unlinked file's entry goes to the next create, but its inode stays
+// with the description that still has it open.
+TEST_F(KernelTest, UnlinkedOpenFileKeepsItsInode) {
+  const Pid pid = spawn();
+  const int old_fd = k_.sys_open(pid, "/tmp/a", OpenFlags::kCreate).value();
+  ASSERT_TRUE(k_.sys_unlink(pid, "/tmp/a").is_ok());
+  const int new_fd = k_.sys_open(pid, "/tmp/b", OpenFlags::kCreate).value();
+  ASSERT_EQ(k_.sys_write(pid, old_fd, "12345").value_or(0), 5u);
+  EXPECT_EQ(k_.sys_stat("/tmp/b").value().size, 0u);
+  EXPECT_EQ(k_.sys_read(pid, old_fd, 16).value_or("").size(), 5u);
+  EXPECT_EQ(k_.sys_read(pid, new_fd, 16).value_or("?"), "");
+  EXPECT_EQ(k_.sys_stat("/tmp/a").code(), Code::kNotFound);
+}
+
+TEST_F(KernelTest, UnlinkChecksOwnershipBeforeType) {
+  const Pid user = spawn("user");
+  k_.processes().lookup(user)->uid = 1000;
+  EXPECT_EQ(k_.sys_unlink(user, "/tmp/none").code(), Code::kNotFound);
+  EXPECT_EQ(k_.sys_unlink(user, "/tmp").code(), Code::kPermissionDenied);
+  ASSERT_TRUE(k_.sys_mkdir(user, "/tmp/own").is_ok());
+  const util::Status s = k_.sys_unlink(user, "/tmp/own");
+  EXPECT_EQ(s.code(), Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "is a directory: /tmp/own");
+}
+
 TEST_F(KernelTest, MkdirCreatesUnderOwnUid) {
   const Pid pid = spawn();
   k_.processes().lookup(pid)->uid = 1000;
@@ -338,6 +363,28 @@ TEST_F(KernelTest, DeviceMediationOnlyWhenMapped) {
   k_.devices().map_path("/dev/snd/mic9", dev.value());
   EXPECT_EQ(k_.sys_open(pid, "/dev/snd/mic9", OpenFlags::kRead).code(),
             Code::kOverhaulDenied);
+}
+
+// udev renames the directory a microphone sits in: the node moves with it,
+// the helper announces the move, and the new path is mediated as the old
+// one was.
+TEST_F(KernelTest, DirectoryRenameCarriesDeviceMediation) {
+  ASSERT_TRUE(k_.start_udev_helper().is_ok());
+  const DeviceId mic =
+      k_.install_device(DeviceClass::kMicrophone, "mic", "/dev/snd/mic0")
+          .value();
+  ASSERT_TRUE(k_.vfs().rename("/dev/snd", "/dev/sound").is_ok());
+  EXPECT_EQ(k_.devices().device_at("/dev/sound/mic0"), mic);
+  EXPECT_FALSE(k_.devices().device_at("/dev/snd/mic0").has_value());
+
+  const Pid pid = spawn();
+  clock_.advance(sim::Duration::seconds(5));
+  EXPECT_EQ(k_.sys_open(pid, "/dev/snd/mic0", OpenFlags::kRead).code(),
+            Code::kNotFound);
+  EXPECT_EQ(k_.sys_open(pid, "/dev/sound/mic0", OpenFlags::kRead).code(),
+            Code::kOverhaulDenied);
+  ASSERT_TRUE(k_.monitor().record_interaction(pid, clock_.now()));
+  EXPECT_TRUE(k_.sys_open(pid, "/dev/sound/mic0", OpenFlags::kRead).is_ok());
 }
 
 TEST_F(KernelTest, BaselineKernelSkipsMediationEntirely) {

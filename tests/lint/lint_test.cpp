@@ -1406,6 +1406,21 @@ TEST(Cache, WarmRunSkipsReparsing) {
   std::remove(cache.c_str());
 }
 
+// --stats prints these: every rule family, R1 through R13, and the two
+// phases they share report the wall time they took on a whole-tree run.
+TEST(Stats, EveryRuleFamilyReportsItsWallTime) {
+  lint::TreeOptions opts;
+  opts.roots = {fixture_dir("clean"), fixture_dir("broken")};
+  opts.config = fixture_rules();
+  const auto res = lint::run_tree(opts);
+  ASSERT_GT(res.stats.files, 0u);
+  ASSERT_EQ(res.stats.rule_ms.size(), 13u);
+  for (std::size_t i = 0; i < res.stats.rule_ms.size(); ++i)
+    EXPECT_GT(res.stats.rule_ms[i], 0.0) << "R" << i + 1;
+  EXPECT_GT(res.stats.ir_ms, 0.0);
+  EXPECT_GT(res.stats.callgraph_ms, 0.0);
+}
+
 TEST(Cache, ConfigChangeInvalidatesAndIsCounted) {
   const auto cfg = fixture_rules();
   const std::string cache =

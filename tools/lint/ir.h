@@ -8,6 +8,8 @@
 // content hash (or the rules-file hash) changed.
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -16,6 +18,31 @@
 #include "lint.h"
 
 namespace overhaul::lint {
+
+// Wall time per rule family, in ms: [0] is R1, [12] is R13.
+inline constexpr std::size_t kRuleFamilies = 13;
+using RuleTimes = std::array<double, kRuleFamilies>;
+
+// Adds the wall time of its scope to (*times)[rule - 1], or to *ms; does
+// nothing when the target is null.
+class RuleTimer {
+ public:
+  RuleTimer(RuleTimes* times, int rule)
+      : ms_(times == nullptr ? nullptr : &(*times)[rule - 1]) {}
+  explicit RuleTimer(double* ms) : ms_(ms) {}
+  RuleTimer(const RuleTimer&) = delete;
+  RuleTimer& operator=(const RuleTimer&) = delete;
+  ~RuleTimer() {
+    if (ms_ != nullptr)
+      *ms_ += std::chrono::duration<double, std::milli>(Clock::now() - start_)
+                  .count();
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  double* ms_;
+  Clock::time_point start_ = Clock::now();
+};
 
 // A single token hit the per-file rules care about (R3 guarded-field write,
 // R4 banned identifier).
@@ -59,8 +86,10 @@ FileIR build_file_ir(const std::string& path, const std::string& source,
 
 // Runs the per-file rules (R1–R4, R7) over one FileIR. No suppression or
 // baseline filtering — that is the tree pipeline's job, so it can report
-// unused suppressions. Defined in lint.cpp next to the rule logic.
-std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& config);
+// unused suppressions. Adds each rule's wall time to `times` when given.
+// Defined in lint.cpp next to the rule logic.
+std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& config,
+                                    RuleTimes* times = nullptr);
 
 // --- incremental cache -------------------------------------------------------
 

@@ -1623,13 +1623,15 @@ bool function_matches(const FunctionInfo& fn, const std::string& want) {
 
 }  // namespace
 
-std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg) {
+std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg,
+                                    RuleTimes* times) {
   std::vector<Finding> findings;
   const std::string& path = ir.path;
   const std::vector<FunctionInfo>& fns = ir.functions;
 
   // R1: IPC interposition completeness.
-  if (matches_any(path, cfg.r1_files) && !matches_any(path, cfg.r1_allow)) {
+  if (const RuleTimer t(times, 1);
+      matches_any(path, cfg.r1_files) && !matches_any(path, cfg.r1_allow)) {
     for (const auto& fn : fns) {
       if (in_list(fn.name, cfg.r1_send_fns) &&
           !calls_one_of(fn, cfg.r1_send_via)) {
@@ -1651,7 +1653,7 @@ std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg) {
   }
 
   // R2: direct-call anchors must keep their call edge.
-  if (!matches_any(path, cfg.r2_allow)) {
+  if (const RuleTimer t(times, 2); !matches_any(path, cfg.r2_allow)) {
     for (const auto& point : cfg.r2_points) {
       if (!path_matches(path, point.file)) continue;
       const auto it =
@@ -1676,7 +1678,8 @@ std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg) {
   }
 
   // R3: guarded-field writes outside the approved API files.
-  if (!cfg.r3_fields.empty() && !matches_any(path, cfg.r3_allow)) {
+  if (const RuleTimer t(times, 3);
+      !cfg.r3_fields.empty() && !matches_any(path, cfg.r3_allow)) {
     for (const auto& w : ir.guarded_writes) {
       findings.push_back(
           {path, w.line, "R3",
@@ -1688,7 +1691,8 @@ std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg) {
   }
 
   // R4: banned raw clock/time primitives.
-  if (!cfg.r4_banned.empty() && !matches_any(path, cfg.r4_exempt)) {
+  if (const RuleTimer t(times, 4);
+      !cfg.r4_banned.empty() && !matches_any(path, cfg.r4_exempt)) {
     for (const auto& b : ir.banned_idents) {
       findings.push_back(
           {path, b.line, "R4",
@@ -1702,7 +1706,8 @@ std::vector<Finding> run_file_rules(const FileIR& ir, const RuleConfig& cfg) {
   // long-lived members or returned to callers outside the allowed owner
   // (they go stale the moment ProcessTable::reap recycles the slot; holders
   // must carry a generation-checked TaskHandle instead).
-  if (!cfg.r7_types.empty() && !matches_any(path, cfg.r7_allow)) {
+  if (const RuleTimer t(times, 7);
+      !cfg.r7_types.empty() && !matches_any(path, cfg.r7_allow)) {
     for (const auto& field : ir.pointer_fields) {
       if (!in_list(field.type, cfg.r7_types)) continue;
       findings.push_back(

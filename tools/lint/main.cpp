@@ -38,7 +38,8 @@ void usage(std::FILE* to) {
       "                   R5 (all seeds), R5:<function>, R6:<function>,\n"
       "                   R9:<function> (nondet-order taint witness),\n"
       "                   R11[:<function>] (clock-domain witness)\n"
-      "  --stats          print file/function/edge/cache counters\n"
+      "  --stats          print file/function/edge/cache counters and the\n"
+      "                   wall time of each rule family\n"
       "  --quiet          suppress per-finding lines (exit code only)\n");
 }
 
@@ -171,6 +172,11 @@ int main(int argc, char** argv) {
         result.stats.invalidated_by_config, result.stats.functions,
         result.stats.call_edges, result.findings.size(),
         result.stats.suppressed, result.stats.baselined);
+    std::printf("overhaul-lint: ms: ir %.2f, call graph %.2f",
+                result.stats.ir_ms, result.stats.callgraph_ms);
+    for (std::size_t i = 0; i < result.stats.rule_ms.size(); ++i)
+      std::printf(", R%zu %.2f", i + 1, result.stats.rule_ms[i]);
+    std::printf("\n");
   } else if (!quiet) {
     std::fprintf(stderr,
                  "overhaul-lint: %zu finding(s) in %zu file(s) scanned\n",

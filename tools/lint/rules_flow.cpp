@@ -404,34 +404,43 @@ TreeResult analyze_program(ProgramIR program, const RuleConfig& cfg,
   stats.files = program.files.size();
   for (const FileIR& f : program.files) {
     stats.functions += f.functions.size();
-    std::vector<Finding> fs = run_file_rules(f, cfg);
+    std::vector<Finding> fs = run_file_rules(f, cfg, &stats.rule_ms);
     findings.insert(findings.end(), fs.begin(), fs.end());
   }
 
+  const auto timed = [&](int rule, auto&& run) {
+    const RuleTimer t(&stats.rule_ms, rule);
+    run();
+  };
   // R2 anchors whose file never showed up.
-  for (const MediationPoint& point : cfg.r2_points) {
-    const bool seen = std::any_of(
-        program.files.begin(), program.files.end(),
-        [&](const FileIR& f) { return path_matches(f.path, point.file); });
-    if (!seen) {
-      findings.push_back({point.file, 1, "R2",
-                          "mediation point '" + point.function +
-                              "' not found: its file was never scanned "
-                              "(moved? update overhaul_lint.rules)",
-                          point.function});
+  timed(2, [&] {
+    for (const MediationPoint& point : cfg.r2_points) {
+      const bool seen = std::any_of(
+          program.files.begin(), program.files.end(),
+          [&](const FileIR& f) { return path_matches(f.path, point.file); });
+      if (!seen) {
+        findings.push_back({point.file, 1, "R2",
+                            "mediation point '" + point.function +
+                                "' not found: its file was never scanned "
+                                "(moved? update overhaul_lint.rules)",
+                            point.function});
+      }
     }
-  }
+  });
 
-  const CallGraph graph = CallGraph::build(program, cfg);
+  const CallGraph graph = [&] {
+    const RuleTimer t(&stats.callgraph_ms);
+    return CallGraph::build(program, cfg);
+  }();
   stats.call_edges = graph.edge_count();
-  run_r5(program, graph, cfg, &findings);
-  run_r6(graph, cfg, &findings);
-  run_r8(program, graph, cfg, &findings);
-  run_r9(program, cfg, &findings);
-  run_r10(program, cfg, &findings);
-  run_r11(program, cfg, &findings);
-  run_r12(program, graph, cfg, &findings);
-  run_r13(program, graph, cfg, &findings);
+  timed(5, [&] { run_r5(program, graph, cfg, &findings); });
+  timed(6, [&] { run_r6(graph, cfg, &findings); });
+  timed(8, [&] { run_r8(program, graph, cfg, &findings); });
+  timed(9, [&] { run_r9(program, cfg, &findings); });
+  timed(10, [&] { run_r10(program, cfg, &findings); });
+  timed(11, [&] { run_r11(program, cfg, &findings); });
+  timed(12, [&] { run_r12(program, graph, cfg, &findings); });
+  timed(13, [&] { run_r13(program, graph, cfg, &findings); });
   filter_findings(program, baseline, &findings, &stats);
 
   std::sort(findings.begin(), findings.end(),
@@ -496,17 +505,20 @@ std::optional<std::vector<BaselineEntry>> load_baseline_file(
   return parse_baseline(buf.str(), error);
 }
 
-TreeResult run_tree(const TreeOptions& options) {
-  std::vector<Finding> findings;
-  TreeStats stats;
-  const std::vector<std::string> paths = discover(options.roots, &findings);
+namespace {
+
+// Reads the tree into IR: cached entries for unchanged files, fresh parses
+// for the rest. Rewrites the cache when it changed.
+ProgramIR load_program(const TreeOptions& options,
+                       std::vector<Finding>* findings, TreeStats* stats) {
+  const std::vector<std::string> paths = discover(options.roots, findings);
 
   std::vector<FileIR> cached;
   if (!options.cache_path.empty()) {
     std::string blob;
     if (read_file(options.cache_path, &blob))
       parse_cache(blob, options.rules_hash, &cached,
-                  &stats.invalidated_by_config);
+                  &stats->invalidated_by_config);
   }
   std::unordered_map<std::string_view, FileIR*> by_path;
   by_path.reserve(cached.size());
@@ -517,7 +529,7 @@ TreeResult run_tree(const TreeOptions& options) {
   // evicted entry never comes back).
   for (const FileIR& f : cached)
     if (!std::binary_search(paths.begin(), paths.end(), f.path))
-      ++stats.evicted;
+      ++stats->evicted;
 
   ProgramIR program;
   program.files.reserve(paths.size());
@@ -525,7 +537,7 @@ TreeResult run_tree(const TreeOptions& options) {
   for (const std::string& path : paths) {
     std::string source;
     if (!read_file(path, &source)) {
-      findings.push_back({path, 0, "io", "cannot read file", path});
+      findings->push_back({path, 0, "io", "cannot read file", path});
       continue;
     }
     const std::uint64_t hash = fnv1a64(source);
@@ -536,19 +548,31 @@ TreeResult run_tree(const TreeOptions& options) {
       program.files.push_back(std::move(*it->second));
       ++hits;
     } else {
-      ++stats.reparsed;
+      ++stats->reparsed;
       program.files.push_back(build_file_ir(path, source, options.config));
     }
   }
 
   // Rewrite the cache only when it would change: a fully-warm run where every
   // cached entry was used byte-for-byte skips the serialize + write entirely.
-  const bool cache_unchanged = stats.reparsed == 0 && hits == cached.size();
+  const bool cache_unchanged = stats->reparsed == 0 && hits == cached.size();
   if (!options.cache_path.empty() && !cache_unchanged) {
     std::ofstream out(options.cache_path, std::ios::binary | std::ios::trunc);
     if (out) out << serialize_cache(program.files, options.rules_hash);
   }
+  return program;
+}
 
+}  // namespace
+
+TreeResult run_tree(const TreeOptions& options) {
+  std::vector<Finding> findings;
+  TreeStats stats;
+  ProgramIR program;
+  {
+    const RuleTimer t(&stats.ir_ms);
+    program = load_program(options, &findings, &stats);
+  }
   return analyze_program(std::move(program), options.config, options.baseline,
                          std::move(findings), stats);
 }
@@ -558,9 +582,12 @@ TreeResult run_tree_mem(
     const RuleConfig& config, const std::vector<BaselineEntry>& baseline) {
   ProgramIR program;
   TreeStats stats;
-  for (const auto& [path, source] : files) {
-    ++stats.reparsed;
-    program.files.push_back(build_file_ir(path, source, config));
+  {
+    const RuleTimer t(&stats.ir_ms);
+    for (const auto& [path, source] : files) {
+      ++stats.reparsed;
+      program.files.push_back(build_file_ir(path, source, config));
+    }
   }
   return analyze_program(std::move(program), config, baseline, {}, stats);
 }

@@ -80,6 +80,12 @@ struct TreeStats {
   std::size_t call_edges = 0;
   std::size_t suppressed = 0;  // findings dropped by inline suppressions
   std::size_t baselined = 0;   // findings dropped by the baseline
+  // Wall time, in ms, of each rule family and of the two phases they share:
+  // reading the tree into IR (cache included) and building the call graph
+  // that R5, R6, R8, R12 and R13 walk.
+  RuleTimes rule_ms{};
+  double ir_ms = 0;
+  double callgraph_ms = 0;
 };
 
 struct TreeResult {
